@@ -24,8 +24,6 @@ from .sim import SimSpec, SplitMix64, fi_distribution, simulate_trial
 from .specfun import (
     BracketError,
     ConvergenceError,
-    DEFAULT_CONFIG,
-    SpecFunConfig,
     bisect_root,
     log_gamma,
     reg_lower_inc_gamma,
@@ -48,7 +46,6 @@ __all__ = [
     "AnalysisConfig",
     "BracketError",
     "ConvergenceError",
-    "DEFAULT_CONFIG",
     "FragilityResult",
     "GammaParams",
     "GridCell",
@@ -58,7 +55,6 @@ __all__ = [
     "Observation",
     "SensitivityGrid",
     "SimSpec",
-    "SpecFunConfig",
     "SplitMix64",
     "SurvivalDataset",
     "bisect_root",

@@ -113,6 +113,15 @@ def _fraction_json(fq: Fraction | None):
     return {"numerator": fq.numerator, "denominator": fq.denominator, "value": float(fq)}
 
 
+def _config_json(config: AnalysisConfig) -> dict:
+    return {
+        "prior_shape": config.prior.shape,
+        "prior_rate": config.prior.rate,
+        "t0": config.t0,
+        "p0": config.p0,
+    }
+
+
 def _fragility_json(result: FragilityResult) -> dict:
     return {
         "applicable": True,
@@ -149,7 +158,7 @@ def build_report(
     km: dict | None = None,
 ) -> dict:
     posterior = posterior_update(config.prior, dataset)
-    initial_prob = posterior_prob_median_exceeds(posterior, config.t0, config.specfun)
+    initial_prob = posterior_prob_median_exceeds(posterior, config.t0)
     return {
         "tool": {"name": _PROG, "version": __version__},
         "input": {
@@ -161,12 +170,7 @@ def build_report(
             "total_time": dataset.total_time,
             "time_unit": dataset.time_unit,
         },
-        "config": {
-            "prior_shape": config.prior.shape,
-            "prior_rate": config.prior.rate,
-            "t0": config.t0,
-            "p0": config.p0,
-        },
+        "config": _config_json(config),
         "posterior": {"shape": posterior.shape, "rate": posterior.rate},
         "initial_probability": initial_prob,
         "fragility": fragility,
@@ -610,12 +614,7 @@ def _cmd_sensitivity(args) -> int:
     report = {
         "tool": {"name": _PROG, "version": __version__},
         "input": {"path": str(args.csv), "sha256": _digest(args.csv)},
-        "base_config": {
-            "prior_shape": base.prior.shape,
-            "prior_rate": base.prior.rate,
-            "t0": base.t0,
-            "p0": base.p0,
-        },
+        "base_config": _config_json(base),
         "axes": {name: list(values) for name, values in grid.axes.items()},
         "cells": cells,
     }
@@ -651,12 +650,7 @@ def _cmd_simulate(args) -> int:
                 "censor_rate": spec.censor_rate,
                 "seed": spec.seed,
             },
-            "config": {
-                "prior_shape": config.prior.shape,
-                "prior_rate": config.prior.rate,
-                "t0": config.t0,
-                "p0": config.p0,
-            },
+            "config": _config_json(config),
             "replications": args.replications,
             "counts": ordered,
         }

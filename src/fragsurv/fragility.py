@@ -6,12 +6,11 @@ their recorded times), drops the posterior probability of the median survival
 time exceeding t0 strictly below the confidence level p0. It is defined only
 when the unmodified analysis sits strictly above p0.
 
-Reclassification is performed in order of shortest censoring time first
-(ties broken by input position). Under the exponential model the order is
-provably irrelevant: a flip adds 1 to the posterior shape and leaves the
-posterior rate untouched, because censored follow-up time already counts
-toward the rate update. Only the number of flips matters; the literal
-ordering is retained because it is the defined procedure.
+Under the exponential model a flip adds 1 to the posterior shape and leaves
+the posterior rate untouched, because censored follow-up time already counts
+toward the rate update. Only the number of flips matters, not which subjects
+are flipped, so the search runs on the posterior alone: the probability
+after k flips is P(shape + k, rate ln 2 / t0).
 """
 
 from __future__ import annotations
@@ -21,23 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .specfun import (
-    DEFAULT_CONFIG,
-    BracketError,
-    ConvergenceError,
-    SpecFunConfig,
-    bisect_root,
-    reg_lower_inc_gamma,
-)
-from .survival import (
-    LN2,
-    AnalysisConfig,
-    GammaParams,
-    Observation,
-    SurvivalDataset,
-    posterior_prob_median_exceeds,
-    posterior_update,
-)
+from .specfun import BracketError, ConvergenceError, bisect_root, reg_lower_inc_gamma
+from .survival import LN2, AnalysisConfig, GammaParams, SurvivalDataset, posterior_update
 
 __all__ = [
     "NotFragileApplicableError",
@@ -78,7 +62,8 @@ class FragilityResult:
     fi is None when every censored observation was reclassified without the
     probability dropping below p0 ("not attained", reported as FI > m). The
     trajectory holds the probability after k reclassifications for
-    k = 0 .. stopping point and is strictly decreasing.
+    k = 0 .. stopping point and is non-increasing: a saturated baseline
+    repeats 1.0 until the probability leaves it.
     """
 
     fi: int | None
@@ -117,16 +102,16 @@ class SensitivityGrid:
 def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityResult:
     """Search for the smallest reclassification count crossing below p0.
 
-    Censored observations are flipped to events one at a time, shortest
-    censoring time first (stable in input order on ties), recomputing the
-    posterior exceedance probability after each flip. Stops at the first
+    Censored observations are reclassified as events one at a time, each
+    flip adding 1 to the posterior shape, and the posterior exceedance
+    probability is recomputed after each flip. Stops at the first
     probability strictly below p0; a probability exactly equal to p0 does
     not stop the search.
 
     Raises:
         NotFragileApplicableError: if the k = 0 probability is <= p0.
     """
-    trajectory, censored_count = _flip_trajectory(data, config, stop_below_p0=True)
+    trajectory = _flip_trajectory(data, config, stop_below_p0=True)
     initial_prob = trajectory[0][1]
     if not initial_prob > config.p0:
         raise NotFragileApplicableError(initial_prob, config.p0)
@@ -139,7 +124,7 @@ def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityR
         fi=fi,
         trajectory=tuple(trajectory),
         initial_prob=initial_prob,
-        censored_count=censored_count,
+        censored_count=data.num_censored,
         fq=fq,
         config=config,
     )
@@ -157,20 +142,17 @@ def fragility_quotient(fi: int, n: int) -> Fraction:
 def fi_trajectory(
     data: SurvivalDataset, config: AnalysisConfig, k_max: int
 ) -> list[tuple[int, float]]:
-    """Probability after flipping the k shortest-censored observations, k = 0..k_max."""
+    """Probability after reclassifying k censored observations, k = 0..k_max."""
     if not (isinstance(k_max, int) and k_max >= 0):
         raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
     if k_max > data.num_censored:
         raise ValueError(
             f"k_max={k_max} exceeds the number of censored observations ({data.num_censored})"
         )
-    trajectory, _ = _flip_trajectory(data, config, stop_below_p0=False, k_max=k_max)
-    return trajectory
+    return _flip_trajectory(data, config, stop_below_p0=False, k_max=k_max)
 
 
-def calibrate(
-    shape: float, target_prob: float, t0: float, cfg: SpecFunConfig = DEFAULT_CONFIG
-) -> float:
+def calibrate(shape: float, target_prob: float, t0: float) -> float:
     """Posterior rate at which P(median > t0) equals target_prob, given the shape.
 
     Inverts b -> P(shape, b ln 2 / t0), which is strictly increasing in b,
@@ -188,7 +170,7 @@ def calibrate(
         raise ValueError(f"t0 must be > 0, got {t0!r}")
 
     def objective(rate: float) -> float:
-        return reg_lower_inc_gamma(shape, rate * LN2 / t0, cfg) - target_prob
+        return reg_lower_inc_gamma(shape, rate * LN2 / t0) - target_prob
 
     hi = 1.0
     for _ in range(_CALIBRATE_MAX_DOUBLINGS):
@@ -259,31 +241,21 @@ def _flip_trajectory(
     config: AnalysisConfig,
     stop_below_p0: bool,
     k_max: int | None = None,
-) -> tuple[list[tuple[int, float]], int]:
-    """Shared flip loop: returns (trajectory, number of censored observations)."""
-    censored_order = sorted(
-        (i for i, o in enumerate(data.observations) if o.event == 0),
-        key=lambda i: data.observations[i].time,
-    )
-    if k_max is not None:
-        censored_order = censored_order[:k_max]
-
-    observations = list(data.observations)
-    prob = _exceedance_prob(data, config)
+) -> list[tuple[int, float]]:
+    """Shared search loop: (k, probability) after k reclassifications."""
+    posterior = posterior_update(config.prior, data)
+    x = posterior.rate * LN2 / config.t0
+    prob = reg_lower_inc_gamma(posterior.shape, x)
     trajectory = [(0, prob)]
     if stop_below_p0 and not prob > config.p0:
-        return trajectory, data.num_censored
+        return trajectory
 
-    for k, idx in enumerate(censored_order, start=1):
-        observations[idx] = Observation(observations[idx].time, 1)
-        flipped = SurvivalDataset(tuple(observations), data.time_unit)
-        prob = _exceedance_prob(flipped, config)
+    events = data.num_events
+    for k in range(1, (data.num_censored if k_max is None else k_max) + 1):
+        # Summed as posterior_update sums it, so the shape is bit-identical
+        # to the posterior of the flipped dataset.
+        prob = reg_lower_inc_gamma(config.prior.shape + (events + k), x)
         trajectory.append((k, prob))
         if stop_below_p0 and prob < config.p0:
             break
-    return trajectory, data.num_censored
-
-
-def _exceedance_prob(data: SurvivalDataset, config: AnalysisConfig) -> float:
-    posterior = posterior_update(config.prior, data)
-    return posterior_prob_median_exceeds(posterior, config.t0, config.specfun)
+    return trajectory

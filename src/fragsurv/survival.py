@@ -11,9 +11,9 @@ Gamma(shape + #events, rate + sum of all follow-up times).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .specfun import DEFAULT_CONFIG, SpecFunConfig, reg_lower_inc_gamma
+from .specfun import reg_lower_inc_gamma
 
 __all__ = [
     "Observation",
@@ -100,12 +100,11 @@ class GammaParams:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Analysis settings: median threshold t0, confidence level p0, prior, numerics."""
+    """Analysis settings: median threshold t0, confidence level p0, prior."""
 
     t0: float
     p0: float = 0.7
     prior: GammaParams = GammaParams(0.5, 0.5)
-    specfun: SpecFunConfig = field(default_factory=SpecFunConfig)
 
     def __post_init__(self):
         if not (isinstance(self.t0, (int, float)) and math.isfinite(self.t0) and self.t0 > 0):
@@ -149,9 +148,7 @@ def median_from_rate(rate: float) -> float:
     return LN2 / rate
 
 
-def posterior_prob_median_exceeds(
-    posterior: GammaParams, t0: float, cfg: SpecFunConfig = DEFAULT_CONFIG
-) -> float:
+def posterior_prob_median_exceeds(posterior: GammaParams, t0: float) -> float:
     """Probability that the median survival time exceeds t0 under the posterior.
 
     The median exceeds t0 exactly when lambda < ln 2 / t0, so this is the
@@ -160,7 +157,7 @@ def posterior_prob_median_exceeds(
     """
     if not (isinstance(t0, (int, float)) and math.isfinite(t0) and t0 > 0):
         raise ValueError(f"t0 must be finite and > 0, got {t0!r}")
-    return reg_lower_inc_gamma(posterior.shape, posterior.rate * LN2 / t0, cfg)
+    return reg_lower_inc_gamma(posterior.shape, posterior.rate * LN2 / t0)
 
 
 def _require_positive_rate(rate: float) -> None:

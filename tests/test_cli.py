@@ -1,9 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from scipy.special import gammainc as scipy_gammainc
 
 from fragsurv.cli import (
     CASE_STUDIES,
@@ -177,6 +179,27 @@ class TestAnalyzeCommand:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["initial_probability"] < 0.7
+
+    def test_large_event_count_below_the_posterior_mode(self, tmp_path, capsys):
+        # 3500 events put the posterior shape at 3500.5; at x = a - sqrt(a)
+        # the incomplete-gamma series needs more than 300 terms
+        times = [1.0 + i % 7 for i in range(5000)]
+        path = tmp_path / "cohort.csv"
+        rows = [f"{t!r},{1 if i < 3500 else 0}" for i, t in enumerate(times)]
+        path.write_text("time,status\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        shape, rate = 0.5 + 3500, 0.5 + sum(times)
+        x = shape - math.sqrt(shape)
+        t0 = repr(rate * math.log(2.0) / x)
+
+        assert main(["analyze", str(path), "--t0", t0]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["posterior"] == {"shape": shape, "rate": rate}
+        assert abs(report["initial_probability"] - scipy_gammainc(shape, x)) <= 2e-10
+
+        assert main(["fi", str(path), "--t0", t0]) == EXIT_NOT_APPLICABLE
+        captured = capsys.readouterr()
+        assert "not-fragile-applicable" in captured.err
+        assert json.loads(captured.out)["fragility"] == {"applicable": False}
 
 
 class TestKmCommand:

@@ -127,7 +127,7 @@ class TestFragilityIndex:
                 observations[idx] = Observation(observations[idx].time, 1)
                 flipped = SurvivalDataset(tuple(observations))
                 posterior = posterior_update(config.prior, flipped)
-                prob = posterior_prob_median_exceeds(posterior, config.t0, config.specfun)
+                prob = posterior_prob_median_exceeds(posterior, config.t0)
                 if k in prob_by_k:
                     assert prob == prob_by_k[k]  # bit-identical: rate untouched by flips
 

@@ -5,34 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc as scipy_gammainc
 
+from fragsurv import specfun
 from fragsurv.specfun import (
     BracketError,
     ConvergenceError,
-    SpecFunConfig,
     bisect_root,
     log_gamma,
     reg_lower_inc_gamma,
 )
 
 from oracles import erf_series, long_division_sqrt
-
-
-class TestSpecFunConfig:
-    def test_defaults(self):
-        cfg = SpecFunConfig()
-        assert cfg.epsilon == 1e-14
-        assert cfg.max_iterations == 300
-
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-14, 1e-6, 1e-3])
-    def test_rejects_bad_epsilon(self, epsilon):
-        with pytest.raises(ValueError):
-            SpecFunConfig(epsilon=epsilon)
-
-    @pytest.mark.parametrize("max_iterations", [0, 49, -5])
-    def test_rejects_small_iteration_budget(self, max_iterations):
-        with pytest.raises(ValueError):
-            SpecFunConfig(max_iterations=max_iterations)
 
 
 class TestLogGamma:
@@ -158,13 +142,21 @@ class TestRegLowerIncGamma:
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(a, x)
 
-    def test_reports_iteration_count_on_convergence_failure(self):
+    def test_reports_iteration_count_on_convergence_failure(self, monkeypatch):
         # near the series/fraction split at large shape, 50 iterations is not enough
-        cfg = SpecFunConfig(max_iterations=50)
+        monkeypatch.setattr(specfun, "_iteration_budget", lambda a: 50)
         with pytest.raises(ConvergenceError) as excinfo:
-            reg_lower_inc_gamma(500.0, 500.9, cfg)
+            reg_lower_inc_gamma(500.0, 500.9)
         assert excinfo.value.iterations == 50
         assert "50" in str(excinfo.value)
+
+    @pytest.mark.parametrize("a", [3500.5, 14000.5, 1e5])
+    @pytest.mark.parametrize("offset", [-3.0, -1.0, 0.0, 1.0, 3.0])
+    def test_large_shapes_match_scipy_near_the_mode(self, a, offset):
+        # x = a + offset * sqrt(a), with a + 1 (the series/fraction split)
+        # standing in for offset 0; both schemes need O(sqrt(a)) terms here
+        x = a + 1.0 if offset == 0.0 else a + offset * math.sqrt(a)
+        assert abs(reg_lower_inc_gamma(a, x) - scipy_gammainc(a, x)) <= 2e-10
 
 
 class TestBisectRoot:

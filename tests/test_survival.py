@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fragsurv.specfun import SpecFunConfig
 from fragsurv.survival import (
     AnalysisConfig,
     GammaParams,
@@ -76,7 +75,6 @@ class TestAnalysisConfig:
         cfg = AnalysisConfig(t0=7.0)
         assert cfg.p0 == 0.7
         assert cfg.prior == GammaParams(0.5, 0.5)
-        assert cfg.specfun == SpecFunConfig()
 
     @pytest.mark.parametrize("t0,p0", [(0.0, 0.7), (-1.0, 0.7), (7.0, 0.0), (7.0, 1.0), (7.0, 1.5)])
     def test_rejects_bad_thresholds(self, t0, p0):
