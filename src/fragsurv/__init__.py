@@ -14,7 +14,6 @@ from .fragility import (
     NotFragileApplicableError,
     SensitivityGrid,
     calibrate,
-    fi_trajectory,
     fragility_index,
     fragility_quotient,
     sensitivity_scan,
@@ -33,10 +32,7 @@ from .survival import (
     GammaParams,
     Observation,
     SurvivalDataset,
-    exp_hazard,
-    exp_survival,
     log_likelihood,
-    median_from_rate,
     posterior_prob_median_exceeds,
     posterior_update,
 )
@@ -59,17 +55,13 @@ __all__ = [
     "SurvivalDataset",
     "bisect_root",
     "calibrate",
-    "exp_hazard",
-    "exp_survival",
     "fi_distribution",
-    "fi_trajectory",
     "fragility_index",
     "fragility_quotient",
     "km_estimate",
     "km_to_plot_points",
     "log_gamma",
     "log_likelihood",
-    "median_from_rate",
     "posterior_prob_median_exceeds",
     "posterior_update",
     "reg_lower_inc_gamma",

@@ -2,7 +2,8 @@
 
 Subcommands: analyze, fi, km, sensitivity, simulate, reproduce-paper.
 Exit codes: 0 success (including a not-attained index), 2 fragility index
-not applicable, 3 input error, 4 numerical failure or reproduction mismatch.
+not applicable, 3 input error, 4 numerical or internal failure, or
+reproduction mismatch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .fragility import (
     fragility_index,
     sensitivity_scan,
 )
-from .km import KMCurve, km_estimate, km_to_plot_points
+from .km import km_estimate, km_to_plot_points
 from .sim import SimSpec, fi_distribution, simulate_trial
 from .specfun import BracketError, ConvergenceError
 from .survival import (
@@ -47,7 +48,7 @@ _PROG = "fragsurv"
 
 
 class IngestError(ValueError):
-    """A CSV input file could not be parsed into a survival dataset."""
+    """Bad input: a CSV that does not parse into a survival dataset, or an invalid flag value."""
 
 
 def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
@@ -62,6 +63,8 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8: {exc}") from None
 
     rows = list(csv.reader(text.splitlines()))
     if not rows:
@@ -94,9 +97,11 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
 
 def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
     """Write a dataset back out in the same `time,status` format ingest_csv reads."""
-    lines = ["time,status"]
-    lines += [f"{o.time!r},{o.event}" for o in dataset.observations]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(_csv_text(dataset), encoding="utf-8")
+
+
+def _csv_text(dataset: SurvivalDataset) -> str:
+    return "time,status\n" + "".join(f"{o.time!r},{o.event}\n" for o in dataset.observations)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +139,21 @@ def _fragility_json(result: FragilityResult) -> dict:
     }
 
 
-def _km_json(curve: KMCurve) -> dict:
+# Above this many subjects the exact KM denominators (up to n! for n
+# subjects) outgrow what a report can carry: at 3e4 rows they reach 11.5k
+# digits, past Python's int-to-str limit of 4300. 300! has 615 digits.
+_EXACT_KM_MAX_N = 300
+
+
+def _km_json(dataset: SurvivalDataset) -> dict:
+    curve = km_estimate(dataset)
+    exact = dataset.n <= _EXACT_KM_MAX_N
     return {
         "steps": [
             {
                 "time": s.time,
                 "survival": float(s.survival),
-                "survival_exact": f"{s.survival.numerator}/{s.survival.denominator}",
+                **({"survival_exact": f"{s.survival.numerator}/{s.survival.denominator}"} if exact else {}),
                 "at_risk": s.at_risk,
                 "events": s.events,
             }
@@ -363,6 +376,7 @@ def run_reproduce_paper() -> tuple[dict, list[str]]:
         dataset = reconstruct_case_dataset(case)
         config = AnalysisConfig(t0=case.t0, p0=_CASE_P0, prior=_CASE_PRIOR)
         result = fragility_index(dataset, config)
+        fragility = _fragility_json(result)
         prob_ok = abs(result.initial_prob - case.reported_initial_prob) <= _CASE_PROB_TOL
         fi_ok = result.fi == case.published_fi
         if not prob_ok:
@@ -391,8 +405,8 @@ def run_reproduce_paper() -> tuple[dict, list[str]]:
                 "published_fi": case.published_fi,
                 "computed_fi": result.fi,
                 "fi_matches_published": fi_ok,
-                "fq": _fraction_json(result.fq),
-                "trajectory": [{"k": k, "probability": p} for k, p in result.trajectory],
+                "fq": fragility["fq"],
+                "trajectory": fragility["trajectory"],
             }
         )
     bundle = {
@@ -504,9 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _analysis_config(args) -> AnalysisConfig:
-    return AnalysisConfig(
-        t0=args.t0, p0=args.p0, prior=GammaParams(args.prior_shape, args.prior_rate)
-    )
+    try:
+        return AnalysisConfig(
+            t0=args.t0, p0=args.p0, prior=GammaParams(args.prior_shape, args.prior_rate)
+        )
+    except ValueError as exc:
+        raise IngestError(str(exc)) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -523,7 +540,7 @@ def _render(report: dict, fmt: str) -> str:
 def _cmd_analyze(args) -> int:
     dataset = ingest_csv(args.csv, args.time_unit)
     config = _analysis_config(args)
-    km = _km_json(km_estimate(dataset)) if args.with_km else None
+    km = _km_json(dataset) if args.with_km else None
     report = build_report(dataset, config, args.csv, fragility=None, km=km)
     _emit(_render(report, args.format), args.out)
     return EXIT_OK
@@ -532,22 +549,21 @@ def _cmd_analyze(args) -> int:
 def _cmd_fi(args) -> int:
     dataset = ingest_csv(args.csv, args.time_unit)
     config = _analysis_config(args)
-    km = _km_json(km_estimate(dataset)) if args.with_km else None
+    km = _km_json(dataset) if args.with_km else None
+    not_applicable = None
     try:
-        result = fragility_index(dataset, config)
+        fragility = _fragility_json(fragility_index(dataset, config))
     except NotFragileApplicableError as exc:
-        report = build_report(
-            dataset, config, args.csv, fragility={"applicable": False}, km=km
-        )
-        _emit(_render(report, args.format), args.out)
-        sys.stderr.write(
-            f"{_PROG}: not-fragile-applicable: initial probability {exc.initial_prob!r} "
-            f"<= p0 {exc.p0!r}\n"
-        )
-        return EXIT_NOT_APPLICABLE
-    report = build_report(dataset, config, args.csv, fragility=_fragility_json(result), km=km)
+        fragility, not_applicable = {"applicable": False}, exc
+    report = build_report(dataset, config, args.csv, fragility=fragility, km=km)
     _emit(_render(report, args.format), args.out)
-    return EXIT_OK
+    if not_applicable is None:
+        return EXIT_OK
+    sys.stderr.write(
+        f"{_PROG}: not-fragile-applicable: initial probability {not_applicable.initial_prob!r} "
+        f"<= p0 {not_applicable.p0!r}\n"
+    )
+    return EXIT_NOT_APPLICABLE
 
 
 def _cmd_km(args) -> int:
@@ -623,13 +639,16 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = SimSpec(
-        n=args.n,
-        event_rate=args.rate,
-        censor_time=args.censor_time,
-        censor_rate=args.censor_rate,
-        seed=args.seed,
-    )
+    try:
+        spec = SimSpec(
+            n=args.n,
+            event_rate=args.rate,
+            censor_time=args.censor_time,
+            censor_rate=args.censor_rate,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise IngestError(str(exc)) from None
     if args.replications > 0:
         if args.t0 is None:
             raise IngestError("--replications requires --t0")
@@ -661,9 +680,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         write_csv(dataset, args.out)
     else:
-        sys.stdout.write("time,status\n")
-        for o in dataset.observations:
-            sys.stdout.write(f"{o.time!r},{o.event}\n")
+        sys.stdout.write(_csv_text(dataset))
     return EXIT_OK
 
 
@@ -693,8 +710,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"{_PROG}: numerical-error: {exc}\n")
         return EXIT_NUMERICAL_ERROR
     except ValueError as exc:
-        sys.stderr.write(f"{_PROG}: input-error: {exc}\n")
-        return EXIT_INPUT_ERROR
+        sys.stderr.write(f"{_PROG}: internal-error: {exc}\n")
+        return EXIT_NUMERICAL_ERROR
     except OSError as exc:
         sys.stderr.write(f"{_PROG}: input-error: {exc}\n")
         return EXIT_INPUT_ERROR

@@ -30,7 +30,6 @@ __all__ = [
     "SensitivityGrid",
     "fragility_index",
     "fragility_quotient",
-    "fi_trajectory",
     "calibrate",
     "sensitivity_scan",
 ]
@@ -111,21 +110,27 @@ def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityR
     Raises:
         NotFragileApplicableError: if the k = 0 probability is <= p0.
     """
-    trajectory = _flip_trajectory(data, config, stop_below_p0=True)
-    initial_prob = trajectory[0][1]
+    posterior = posterior_update(config.prior, data)
+    x = posterior.rate * LN2 / config.t0
+    initial_prob = reg_lower_inc_gamma(posterior.shape, x)
     if not initial_prob > config.p0:
         raise NotFragileApplicableError(initial_prob, config.p0)
+    trajectory = [(0, initial_prob)]
     fi: int | None = None
-    last_k, last_prob = trajectory[-1]
-    if last_k > 0 and last_prob < config.p0:
-        fi = last_k
-    fq = Fraction(fi, data.n) if fi is not None else None
+    for k in range(1, data.num_censored + 1):
+        # Summed as posterior_update sums it, so the shape is bit-identical
+        # to the posterior of the flipped dataset.
+        prob = reg_lower_inc_gamma(config.prior.shape + (data.num_events + k), x)
+        trajectory.append((k, prob))
+        if prob < config.p0:
+            fi = k
+            break
     return FragilityResult(
         fi=fi,
         trajectory=tuple(trajectory),
         initial_prob=initial_prob,
         censored_count=data.num_censored,
-        fq=fq,
+        fq=Fraction(fi, data.n) if fi is not None else None,
         config=config,
     )
 
@@ -137,19 +142,6 @@ def fragility_quotient(fi: int, n: int) -> Fraction:
     if fi < 1 or n < 1 or fi > n:
         raise ValueError(f"require 1 <= fi <= n, got fi={fi}, n={n}")
     return Fraction(fi, n)
-
-
-def fi_trajectory(
-    data: SurvivalDataset, config: AnalysisConfig, k_max: int
-) -> list[tuple[int, float]]:
-    """Probability after reclassifying k censored observations, k = 0..k_max."""
-    if not (isinstance(k_max, int) and k_max >= 0):
-        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    if k_max > data.num_censored:
-        raise ValueError(
-            f"k_max={k_max} exceeds the number of censored observations ({data.num_censored})"
-        )
-    return _flip_trajectory(data, config, stop_below_p0=False, k_max=k_max)
 
 
 def calibrate(shape: float, target_prob: float, t0: float) -> float:
@@ -235,27 +227,3 @@ def _evaluate_cell(
         return GridCell(params=params, error=str(exc))
     return GridCell(params=params, result=result, initial_prob=result.initial_prob)
 
-
-def _flip_trajectory(
-    data: SurvivalDataset,
-    config: AnalysisConfig,
-    stop_below_p0: bool,
-    k_max: int | None = None,
-) -> list[tuple[int, float]]:
-    """Shared search loop: (k, probability) after k reclassifications."""
-    posterior = posterior_update(config.prior, data)
-    x = posterior.rate * LN2 / config.t0
-    prob = reg_lower_inc_gamma(posterior.shape, x)
-    trajectory = [(0, prob)]
-    if stop_below_p0 and not prob > config.p0:
-        return trajectory
-
-    events = data.num_events
-    for k in range(1, (data.num_censored if k_max is None else k_max) + 1):
-        # Summed as posterior_update sums it, so the shape is bit-identical
-        # to the posterior of the flipped dataset.
-        prob = reg_lower_inc_gamma(config.prior.shape + (events + k), x)
-        trajectory.append((k, prob))
-        if stop_below_p0 and prob < config.p0:
-            break
-    return trajectory

@@ -7,6 +7,7 @@ floats convert at the edge (km_to_plot_points does).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,27 +72,19 @@ def km_to_plot_points(
     Censor ticks sit on the staircase at the right-continuous value.
     """
     points: list[tuple[float, float]] = [(0.0, 1.0)]
-    level = 1.0
+    levels = [1.0]  # levels[i]: the estimate after the first i steps
     for step in curve.steps:
-        points.append((step.time, level))
-        level = float(step.survival)
-        points.append((step.time, level))
+        points.append((step.time, levels[-1]))
+        levels.append(float(step.survival))
+        points.append((step.time, levels[-1]))
 
     last_time = max(
         (curve.steps[-1].time if curve.steps else 0.0),
         (curve.censor_marks[-1] if curve.censor_marks else 0.0),
     )
     if last_time > points[-1][0]:
-        points.append((last_time, level))
+        points.append((last_time, levels[-1]))
 
-    ticks = [(t, _survival_at(curve, t)) for t in curve.censor_marks]
+    step_times = [step.time for step in curve.steps]
+    ticks = [(t, levels[bisect_right(step_times, t)]) for t in curve.censor_marks]
     return points, ticks
-
-
-def _survival_at(curve: KMCurve, t: float) -> float:
-    level = 1.0
-    for step in curve.steps:
-        if step.time > t:
-            break
-        level = float(step.survival)
-    return level

@@ -11,7 +11,7 @@ Gamma(shape + #events, rate + sum of all follow-up times).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .specfun import reg_lower_inc_gamma
 
@@ -22,9 +22,6 @@ __all__ = [
     "AnalysisConfig",
     "log_likelihood",
     "posterior_update",
-    "exp_survival",
-    "exp_hazard",
-    "median_from_rate",
     "posterior_prob_median_exceeds",
 ]
 
@@ -51,36 +48,39 @@ class Observation:
 class SurvivalDataset:
     """Ordered, nonempty collection of observations sharing one time unit.
 
-    The unit is descriptive metadata only; times are never converted.
+    The unit is descriptive metadata only; times are never converted. The
+    event count and the total follow-up time, the sufficient statistics of
+    the exponential model, are computed once on construction.
     """
 
     observations: tuple[Observation, ...]
     time_unit: str = "months"
+    num_events: int = field(init=False, repr=False, compare=False)
+    total_time: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.observations)
         if not obs:
             raise ValueError("a survival dataset must contain at least one observation")
+        events, total_time = 0, 0.0
         for o in obs:
             if not isinstance(o, Observation):
                 raise ValueError(f"expected Observation, got {o!r}")
+            events += o.event
+            # Plain row-order addition: the same bits on every Python version
+            # (sum() of floats is compensated from 3.12 on).
+            total_time += o.time
         object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "num_events", events)
+        object.__setattr__(self, "total_time", total_time)
 
     @property
     def n(self) -> int:
         return len(self.observations)
 
     @property
-    def num_events(self) -> int:
-        return sum(o.event for o in self.observations)
-
-    @property
     def num_censored(self) -> int:
         return self.n - self.num_events
-
-    @property
-    def total_time(self) -> float:
-        return sum(o.time for o in self.observations)
 
 
 @dataclass(frozen=True)
@@ -124,28 +124,6 @@ def log_likelihood(data: SurvivalDataset, rate: float) -> float:
 def posterior_update(prior: GammaParams, data: SurvivalDataset) -> GammaParams:
     """Conjugate update: shape += #events, rate += total follow-up time. Exact."""
     return GammaParams(prior.shape + data.num_events, prior.rate + data.total_time)
-
-
-def exp_survival(rate: float, t: float) -> float:
-    """Survival probability e^{-rate * t}."""
-    _require_positive_rate(rate)
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    return math.exp(-rate * t)
-
-
-def exp_hazard(rate: float, t: float = 0.0) -> float:
-    """Hazard of the exponential model: constant in t, equal to the rate."""
-    _require_positive_rate(rate)
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    return float(rate)
-
-
-def median_from_rate(rate: float) -> float:
-    """Median survival time ln 2 / rate."""
-    _require_positive_rate(rate)
-    return LN2 / rate
 
 
 def posterior_prob_median_exceeds(posterior: GammaParams, t0: float) -> float:

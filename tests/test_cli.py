@@ -3,10 +3,12 @@ import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from scipy.special import gammainc as scipy_gammainc
 
+from fragsurv import cli
 from fragsurv.cli import (
     CASE_STUDIES,
     EXIT_INPUT_ERROR,
@@ -22,6 +24,9 @@ from fragsurv.cli import (
 )
 from fragsurv.km import km_estimate, km_to_plot_points
 from fragsurv.sim import SimSpec, simulate_trial
+
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -81,6 +86,12 @@ class TestIngestCsv:
         with pytest.raises(IngestError, match="no data rows"):
             ingest_csv(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"time,status\n\xff,1\n")
+        with pytest.raises(IngestError, match="not UTF-8"):
+            ingest_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             ingest_csv(tmp_path / "absent.csv")
@@ -131,10 +142,19 @@ class TestFiCommand:
         assert "input-error" in captured.err
 
     def test_invalid_flag_value_is_input_error(self, demo_csv, capsys):
-        code = main(["fi", demo_csv, "--t0", "-3"])
+        code = main(["fi", demo_csv, "--t0", "-1"])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT_ERROR
-        assert "input-error" in captured.err
+        assert captured.out == ""
+        assert captured.err == "fragsurv: input-error: t0 must be finite and > 0, got -1.0\n"
+
+    def test_internal_value_error_is_not_an_input_error(self, demo_csv, monkeypatch, capsys):
+        def broken_km(data):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(cli, "km_estimate", broken_km)
+        assert main(["fi", demo_csv, "--t0", "2", "--with-km"]) == EXIT_NUMERICAL_ERROR
+        assert capsys.readouterr().err == "fragsurv: internal-error: broken\n"
 
     def test_unknown_flag_maps_to_input_error(self, demo_csv, capsys):
         code = main(["fi", demo_csv, "--t0", "2", "--bogus"])
@@ -164,6 +184,17 @@ class TestFiCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["km"] is not None
         assert report["km"]["censor_marks"] == [3.0, 8.0]
+
+    @pytest.mark.parametrize("n,exact", [(300, True), (301, False)])
+    def test_survival_exact_only_up_to_300_subjects(self, tmp_path, capsys, n, exact):
+        path = tmp_path / "km.csv"
+        rows = "".join(f"{1 + i % 97},{int(i % 3 != 0)}\n" for i in range(n))
+        path.write_text("time,status\n" + rows, encoding="utf-8")
+        assert main(["analyze", str(path), "--t0", "30", "--with-km"]) == EXIT_OK
+        steps = json.loads(capsys.readouterr().out)["km"]["steps"]
+        keys = ["time", "survival"] + ["survival_exact"] * exact + ["at_risk", "events"]
+        assert len(steps) == 97
+        assert all(list(step) == keys for step in steps)
 
 
 class TestAnalyzeCommand:
@@ -297,6 +328,13 @@ class TestSimulateCommand:
         main(["simulate", "--n", "10", "--rate", "0.5", "--seed", "4"])
         assert capsys.readouterr().out == first
 
+    def test_stdout_csv_equals_the_out_file(self, tmp_path, capsys):
+        argv = ["simulate", "--n", "30", "--rate", "0.3", "--censor-time", "4", "--seed", "2"]
+        out = tmp_path / "sim.csv"
+        main(argv + ["--out", str(out)])
+        main(argv)
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
     def test_histogram_mode(self, capsys):
         code = main(
             ["simulate", "--n", "15", "--rate", "0.2", "--censor-rate", "0.2", "--seed", "9",
@@ -314,6 +352,9 @@ class TestSimulateCommand:
     def test_rejects_conflicting_censoring(self, capsys):
         code = main(["simulate", "--n", "5", "--rate", "0.2", "--censor-time", "1", "--censor-rate", "1"])
         assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "fragsurv: input-error: specify at most one of censor_time and censor_rate\n"
+        )
 
 
 class TestReproducePaper:
@@ -365,6 +406,23 @@ class TestReproducePaper:
         for case in bundle["cases"]:
             probs = [step["probability"] for step in case["trajectory"]]
             assert all(a > b for a, b in zip(probs, probs[1:]))
+
+
+class TestGoldenOutput:
+    """Exact stdout recorded in tests/data; refactors must not move a byte.
+
+    Recorded in tests/data with `fragsurv fi demo.csv --t0 2 --with-km` and
+    `fragsurv reproduce-paper`.
+    """
+
+    def test_fi_with_km_on_the_demo_csv(self, monkeypatch, capsys):
+        monkeypatch.chdir(DATA)
+        assert main(["fi", "demo.csv", "--t0", "2", "--with-km"]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "fi_with_km.json").read_text(encoding="utf-8")
+
+    def test_reproduce_paper(self, capsys):
+        assert main(["reproduce-paper"]) == EXIT_NUMERICAL_ERROR
+        assert capsys.readouterr().out == (DATA / "reproduce_paper.json").read_text(encoding="utf-8")
 
 
 class TestEndToEnd:

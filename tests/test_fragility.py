@@ -11,7 +11,6 @@ from scipy.special import gammaincinv as scipy_gammaincinv
 from fragsurv.fragility import (
     NotFragileApplicableError,
     calibrate,
-    fi_trajectory,
     fragility_index,
     fragility_quotient,
     sensitivity_scan,
@@ -163,35 +162,31 @@ class TestFragilityQuotient:
 
 
 class TestFiTrajectory:
-    def test_k_max_zero_single_entry(self):
+    def test_baseline_entry_is_the_posterior_probability(self):
         data = ds((1.0, 0), (4.0, 1))
         config = AnalysisConfig(t0=2.0)
-        trajectory = fi_trajectory(data, config, 0)
         posterior = posterior_update(config.prior, data)
-        assert trajectory == [(0, posterior_prob_median_exceeds(posterior, config.t0))]
+        result = fragility_index(data, config)
+        assert result.trajectory[0] == (0, posterior_prob_median_exceeds(posterior, config.t0))
+        assert result.initial_prob == result.trajectory[0][1]
 
     def test_posterior_one_one_recurrence_identity(self):
         # prior (1, 0.5) + one censored observation at 0.5 gives posterior (1, 1);
         # flipping it gives (2, 1), and P(2, 1) = 1 - 2/e by the shape recurrence
         data = ds((0.5, 0))
-        config = AnalysisConfig(t0=LN2, prior=GammaParams(1.0, 0.5))
-        trajectory = fi_trajectory(data, config, 1)
+        config = AnalysisConfig(t0=LN2, p0=0.5, prior=GammaParams(1.0, 0.5))
+        trajectory = fragility_index(data, config).trajectory
         assert trajectory[0][1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
         assert trajectory[1][1] == pytest.approx(1.0 - 2.0 * math.exp(-1.0), abs=1e-12)
 
-    def test_rejects_k_max_beyond_censored_count(self):
-        data = ds((1.0, 0), (4.0, 1))
-        with pytest.raises(ValueError):
-            fi_trajectory(data, AnalysisConfig(t0=2.0), 2)
-        with pytest.raises(ValueError):
-            fi_trajectory(data, AnalysisConfig(t0=2.0), -1)
-
     def test_strictly_decreasing_full_depth(self):
+        # p0 far below every reachable probability: the search flips every
+        # censored observation without crossing
         rng = random.Random(31337)
         data = random_dataset(rng, 25, 0.6)
-        config = applicable_config(data)
-        trajectory = fi_trajectory(data, config, data.num_censored)
-        probs = [p for _, p in trajectory]
+        result = fragility_index(data, applicable_config(data, p0=0.01))
+        assert not result.attained
+        probs = [p for _, p in result.trajectory]
         assert len(probs) == data.num_censored + 1
         assert all(a > b for a, b in zip(probs, probs[1:]))
 

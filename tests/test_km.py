@@ -123,3 +123,24 @@ class TestKmToPlotPoints:
             assert all(a >= b for a, b in zip(ys, ys[1:]))
             xs = [x for x, _ in points]
             assert all(a <= b for a, b in zip(xs, xs[1:]))
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_censor_ticks_match_a_brute_force_lookup(self, tied):
+        rng = random.Random(2718 + tied)
+        for _ in range(40):
+            n = rng.randint(1, 80)
+            if tied:
+                # coarse grid: ties among events, among censorings and between both
+                observations = tuple(
+                    Observation(rng.randint(1, 10) * 0.5, rng.randint(0, 1)) for _ in range(n)
+                )
+                data = SurvivalDataset(observations)
+            else:
+                data = random_dataset(rng, n, rng.uniform(0.0, 0.9))
+            curve = km_estimate(data)
+            _, ticks = km_to_plot_points(curve)
+            expected = []
+            for t in curve.censor_marks:
+                at_or_before = [s.survival for s in curve.steps if s.time <= t]
+                expected.append((t, float(at_or_before[-1]) if at_or_before else 1.0))
+            assert ticks == expected

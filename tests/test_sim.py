@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from fragsurv.sim import SimSpec, SplitMix64, fi_distribution, simulate_trial, substream_seed
-from fragsurv.survival import AnalysisConfig, GammaParams, median_from_rate, posterior_update
+from fragsurv.survival import LN2, AnalysisConfig, GammaParams, posterior_update
 
 
 class TestSplitMix64:
@@ -89,8 +89,8 @@ class TestSimulateTrial:
         data = simulate_trial(spec)
         posterior = posterior_update(GammaParams(0.5, 0.5), data)
         point_estimate = posterior.shape / posterior.rate
-        estimated_median = median_from_rate(point_estimate)
-        true_median = median_from_rate(rate)
+        estimated_median = LN2 / point_estimate
+        true_median = LN2 / rate
         # relative sampling error of the rate estimate is ~ 1/sqrt(n)
         assert abs(estimated_median - true_median) <= 4 * true_median / math.sqrt(spec.n)
 

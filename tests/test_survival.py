@@ -11,15 +11,12 @@ from fragsurv.survival import (
     GammaParams,
     Observation,
     SurvivalDataset,
-    exp_hazard,
-    exp_survival,
     log_likelihood,
-    median_from_rate,
     posterior_prob_median_exceeds,
     posterior_update,
 )
 
-from oracles import erf_series, gamma_log_density
+from oracles import erf_series, gamma_log_density, random_dataset
 
 
 def ds(*pairs):
@@ -49,6 +46,15 @@ class TestSurvivalDataset:
         assert d.num_events == 2
         assert d.num_censored == 1
         assert d.total_time == 6.0
+
+    def test_statistics_are_stored_on_construction(self):
+        rng = random.Random(60)
+        for _ in range(50):
+            d = random_dataset(rng, rng.randint(1, 400), rng.uniform(0.0, 0.9))
+            stored = vars(d)
+            assert stored["num_events"] == sum(o.event for o in d.observations)
+            # bit for bit: the stored total is the row-order float sum
+            assert stored["total_time"] == sum(o.time for o in d.observations)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -173,40 +179,6 @@ class TestPosteriorUpdate:
                 numeric = unnormalized(lam) / norm
                 exact = math.exp(gamma_log_density(lam, posterior.shape, posterior.rate))
                 assert abs(numeric - exact) <= 1e-6
-
-
-class TestSurvivalTransforms:
-    def test_survival_at_zero(self):
-        assert exp_survival(1.0, 0.0) == 1.0
-
-    def test_one_half_life(self):
-        assert exp_survival(math.log(2.0), 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_analytic_point(self):
-        assert exp_survival(0.2, 10.0) == pytest.approx(math.exp(-2.0), abs=1e-15)
-
-    def test_hazard_is_constant_rate(self):
-        assert exp_hazard(0.37) == 0.37
-        assert exp_hazard(0.37, 12.0) == 0.37
-
-    def test_median_examples(self):
-        assert median_from_rate(math.log(2.0)) == pytest.approx(1.0, abs=1e-15)
-        assert median_from_rate(math.log(2.0) / 7.0) == pytest.approx(7.0, abs=1e-12)
-        assert median_from_rate(0.1) == pytest.approx(6.931471805599453, abs=1e-12)
-
-    def test_median_strictly_decreasing_in_rate(self):
-        rates = [0.05 * (i + 1) for i in range(100)]
-        medians = [median_from_rate(r) for r in rates]
-        assert all(m1 > m2 for m1, m2 in zip(medians, medians[1:]))
-
-    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
-    def test_domain_errors(self, rate):
-        with pytest.raises(ValueError):
-            median_from_rate(rate)
-        with pytest.raises(ValueError):
-            exp_survival(rate, 1.0)
-        with pytest.raises(ValueError):
-            exp_hazard(rate)
 
 
 class TestPosteriorProbMedianExceeds:
