@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -455,21 +455,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{_PROG} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("analyze", help="posterior and exceedance probability, no fragility search")
-    p.add_argument("csv", help="input CSV with header time,status")
-    p.add_argument("--time-unit", default="months", help="time unit label (default months)")
-    _add_config_flags(p)
-    p.add_argument("--with-km", action="store_true", help="embed the Kaplan-Meier summary")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("fi", help="full fragility-index report")
-    p.add_argument("csv", help="input CSV with header time,status")
-    p.add_argument("--time-unit", default="months", help="time unit label (default months)")
-    _add_config_flags(p)
-    p.add_argument("--with-km", action="store_true", help="embed the Kaplan-Meier summary")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_fi)
+    for name, handler, help_text in (
+        ("analyze", _cmd_analyze, "posterior and exceedance probability, no fragility search"),
+        ("fi", _cmd_fi, "full fragility-index report"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("csv", help="input CSV with header time,status")
+        p.add_argument("--time-unit", default="months", help="time unit label (default months)")
+        _add_config_flags(p)
+        p.add_argument("--with-km", action="store_true", help="embed the Kaplan-Meier summary")
+        _add_output_flags(p)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("km", help="Kaplan-Meier staircase as SVG")
     p.add_argument("csv", help="input CSV with header time,status")
@@ -662,13 +658,7 @@ def _cmd_simulate(args) -> int:
                 ordered[marker] = counts[marker]
         report = {
             "tool": {"name": _PROG, "version": __version__},
-            "spec": {
-                "n": spec.n,
-                "event_rate": spec.event_rate,
-                "censor_time": spec.censor_time,
-                "censor_rate": spec.censor_rate,
-                "seed": spec.seed,
-            },
+            "spec": asdict(spec),
             "config": _config_json(config),
             "replications": args.replications,
             "counts": ordered,
@@ -700,7 +690,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except IngestError as exc:
+    except (IngestError, OSError) as exc:
         sys.stderr.write(f"{_PROG}: input-error: {exc}\n")
         return EXIT_INPUT_ERROR
     except NotFragileApplicableError as exc:
@@ -712,9 +702,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{_PROG}: internal-error: {exc}\n")
         return EXIT_NUMERICAL_ERROR
-    except OSError as exc:
-        sys.stderr.write(f"{_PROG}: input-error: {exc}\n")
-        return EXIT_INPUT_ERROR
 
 
 def entrypoint() -> None:

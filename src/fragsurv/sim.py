@@ -91,15 +91,12 @@ def simulate_trial(spec: SimSpec) -> SurvivalDataset:
     for _ in range(spec.n):
         t = -math.log(rng.uniform()) / spec.event_rate
         if spec.censor_time is not None:
-            if t > spec.censor_time:
-                observations.append(Observation(spec.censor_time, 0))
-            else:
-                observations.append(Observation(t, 1))
+            c = spec.censor_time
         elif spec.censor_rate is not None:
             c = -math.log(rng.uniform()) / spec.censor_rate
-            observations.append(Observation(min(t, c), int(t <= c)))
         else:
-            observations.append(Observation(t, 1))
+            c = math.inf
+        observations.append(Observation(min(t, c), int(t <= c)))
     return SurvivalDataset(tuple(observations))
 
 

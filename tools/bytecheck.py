@@ -11,6 +11,13 @@ runs with the same DIR see the same paths, so their records compare byte for
 byte. Each output file also gets a second digest with the `survival_exact`
 lines of a JSON KM block removed, so `compare` can tell an op whose only
 change is that field from any other difference.
+
+`run` also keeps what each op emitted, under A.kept/<op index>/ next to the
+record. `compare` parses every stream or file that differs: JSON as a tree,
+anything else line by line with the numbers split out. It reports the ops
+whose only change is in float values, with the largest absolute change, and
+lists every other difference (exit code, keys, integers, strings, stderr
+lines).
 """
 
 from __future__ import annotations
@@ -20,12 +27,16 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
+
+# A number in a text line; a float is one written with a point or an exponent.
+_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 
 
 def _sha(data: bytes) -> str:
@@ -36,7 +47,7 @@ def _without_exact(data: bytes) -> bytes:
     return b"\n".join(line for line in data.split(b"\n") if b'"survival_exact": ' not in line)
 
 
-def run(seed: int, work: Path) -> list[dict]:
+def run(seed: int, work: Path, keep: Path) -> list[dict]:
     from fragsurv.cli import main
 
     print(f"fragsurv from {sys.modules['fragsurv'].__file__}", file=sys.stderr)
@@ -47,33 +58,126 @@ def run(seed: int, work: Path) -> list[dict]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(list(op.argv))
+            emitted = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
             files = {}
             for path in op.outputs:
                 p = Path(path)
                 data = p.read_bytes() if p.exists() else b""
                 files[p.name] = [_sha(data), _sha(_without_exact(data))]
+                emitted[p.name] = data
                 p.unlink(missing_ok=True)
+            kept = keep.resolve() / str(len(records))
+            kept.mkdir(parents=True, exist_ok=True)
+            for stream, data in emitted.items():
+                (kept / stream).write_bytes(data)
             records.append({"workload": name, "op": op.label(), "exit": code,
-                            "stdout": _sha(out.getvalue().encode()),
-                            "stderr": _sha(err.getvalue().encode()), "files": files})
+                            "stdout": _sha(emitted["stdout"]), "stderr": _sha(emitted["stderr"]),
+                            "files": files, "kept": str(kept)})
     return records
+
+
+class _ValueDiff:
+    """Walks two parsed outputs; collects the largest float change and every other difference."""
+
+    def __init__(self):
+        self.max_float = 0.0
+        self.floats = 0
+        self.other: list[str] = []
+
+    def _float(self, a: float, b: float, where: str) -> None:
+        delta = abs(a - b)
+        if delta != delta or delta == float("inf"):
+            self.other.append(f"{where}: {a!r} -> {b!r}")
+            return
+        self.floats += 1
+        self.max_float = max(self.max_float, delta)
+
+    def tree(self, a, b, where: str) -> None:
+        if type(a) is float and type(b) is float:
+            if a != b:
+                self._float(a, b, where)
+        elif isinstance(a, dict) and isinstance(b, dict):
+            if list(a) != list(b):
+                self.other.append(f"{where}: keys {list(a)} -> {list(b)}")
+                return
+            for key in a:
+                self.tree(a[key], b[key], f"{where}.{key}")
+        elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                self.other.append(f"{where}: length {len(a)} -> {len(b)}")
+                return
+            for i, (x, y) in enumerate(zip(a, b)):
+                self.tree(x, y, f"{where}[{i}]")
+        elif type(a) is not type(b) or a != b:
+            self.other.append(f"{where}: {a!r} -> {b!r}")
+
+    def lines(self, a: str, b: str, where: str, floats_ok: bool) -> None:
+        la, lb = a.split("\n"), b.split("\n")
+        if len(la) != len(lb):
+            self.other.append(f"{where}: {len(la)} -> {len(lb)} lines")
+            return
+        for i, (x, y) in enumerate(zip(la, lb), 1):
+            if x == y:
+                continue
+            nx, ny = _NUMBER.findall(x), _NUMBER.findall(y)
+            same_text = _NUMBER.sub("#", x) == _NUMBER.sub("#", y)
+            if floats_ok and same_text and all(u == v or _is_float(u) and _is_float(v)
+                                               for u, v in zip(nx, ny)):
+                for u, v in zip(nx, ny):
+                    if u != v:
+                        self._float(float(u), float(v), f"{where}:{i}")
+            else:
+                self.other.append(f"{where}:{i}: {x!r} -> {y!r}")
+
+
+def _is_float(token: str) -> bool:
+    return any(c in token for c in ".eEn")
+
+
+def _value_diff(ra: dict, rb: dict, differing: list[str]) -> _ValueDiff:
+    diff = _ValueDiff()
+    if ra["exit"] != rb["exit"]:
+        diff.other.append(f"exit {ra['exit']} -> {rb['exit']}")
+    for stream in differing:
+        a = (Path(ra["kept"]) / stream).read_bytes().decode()
+        b = (Path(rb["kept"]) / stream).read_bytes().decode()
+        try:
+            diff.tree(json.loads(a), json.loads(b), stream)
+        except ValueError:
+            # stderr lines are listed in full, whatever changed in them
+            diff.lines(a, b, stream, floats_ok=stream != "stderr")
+    return diff
 
 
 def compare(a: list[dict], b: list[dict]) -> int:
     if [r["op"] for r in a] != [r["op"] for r in b]:
         print("op lists differ")
         return 1
-    same = 0
+    same = floats_only = 0
+    worst = 0.0
     for ra, rb in zip(a, b):
-        if ra == rb:
+        if all(ra[k] == rb[k] for k in ("exit", "stdout", "stderr", "files")):
             same += 1
             continue
         streams = [k for k in ("exit", "stdout", "stderr") if ra[k] != rb[k]]
         raw = [f for f in ra["files"] if ra["files"][f][0] != rb["files"][f][0]]
         only_exact = raw and not streams and all(ra["files"][f][1] == rb["files"][f][1] for f in raw)
-        what = "survival_exact only" if only_exact else f"exit {ra['exit']} -> {rb['exit']}; differs: {streams + raw}"
+        if only_exact:
+            what = "survival_exact only"
+        else:
+            diff = _value_diff(ra, rb, [s for s in streams if s != "exit"] + raw)
+            moved = (f"{diff.floats} floats moved, max |delta| {diff.max_float:.3g}"
+                     if diff.floats else "no float moved")
+            if diff.other:
+                what = "; ".join([moved, *diff.other])
+            else:
+                what = f"floats only: {moved}"
+                floats_only += 1
+                worst = max(worst, diff.max_float)
         print(f"{ra['workload']}: {ra['op']}: {what}")
     print(f"{same} of {len(a)} ops byte-identical")
+    print(f"{floats_only} of {len(a)} ops differ in float values only (max |delta| {worst:.3g}); "
+          f"{len(a) - same - floats_only} differ otherwise")
     return 0
 
 
@@ -89,7 +193,8 @@ def _main() -> int:
     p.add_argument("b", type=Path)
     args = parser.parse_args()
     if args.cmd == "run":
-        args.json.write_text(json.dumps(run(args.seed, args.work), indent=1) + "\n")
+        records = run(args.seed, args.work, args.json.with_suffix(".kept"))
+        args.json.write_text(json.dumps(records, indent=1) + "\n")
         return 0
     return compare(json.loads(args.a.read_text()), json.loads(args.b.read_text()))
 
