@@ -24,7 +24,6 @@ from .specfun import (
     BracketError,
     ConvergenceError,
     bisect_root,
-    log_gamma,
     reg_lower_inc_gamma,
 )
 from .survival import (
@@ -60,7 +59,6 @@ __all__ = [
     "fragility_quotient",
     "km_estimate",
     "km_to_plot_points",
-    "log_gamma",
     "log_likelihood",
     "posterior_prob_median_exceeds",
     "posterior_update",

@@ -1,8 +1,9 @@
 """Scalar special functions and root finding used by the survival machinery.
 
-Self-contained double-precision kernel: log-gamma (Lanczos), the regularized
-lower incomplete gamma function P(a, x) (series / continued fraction split,
-as in Numerical Recipes ch. 6), and bracketed bisection. No external
+Self-contained double-precision kernel on the standard library's
+`math.lgamma`: the regularized lower incomplete gamma function P(a, x)
+(series / continued fraction split, as in Numerical Recipes ch. 6, with the
+prefactor formed as in Cephes igam.c), and bracketed bisection. No external
 numerical dependencies.
 """
 
@@ -14,7 +15,6 @@ import sys
 __all__ = [
     "ConvergenceError",
     "BracketError",
-    "log_gamma",
     "reg_lower_inc_gamma",
     "bisect_root",
 ]
@@ -32,29 +32,6 @@ class BracketError(ValueError):
     """A root bracket is invalid: the function does not change sign over it."""
 
 
-# Lanczos approximation with g = 607/128, 15 coefficients (Lanczos 1964 as
-# rearranged by Godfrey; also Numerical Recipes 3rd ed., gammln). Relative
-# error below 1e-14 on the positive real axis.
-_LANCZOS_G_PLUS_HALF = 5.24218750000000000
-_LANCZOS_C0 = 0.999999999999997092
-_LANCZOS_COEFFS = (
-    57.1562356658629235,
-    -59.5979603554754912,
-    14.1360979747417471,
-    -0.491913816097620199,
-    0.339946499848118887e-4,
-    0.465236289270485756e-4,
-    -0.983744753048795646e-4,
-    0.158088703224912494e-3,
-    -0.210264441724104883e-3,
-    0.217439618115212643e-3,
-    -0.164318106536763890e-3,
-    0.844182239838527433e-4,
-    -0.261908384015814087e-4,
-    0.368991826595316234e-5,
-)
-_SQRT_2PI = 2.5066282746310005
-
 # Smallest representable scale for the modified Lentz algorithm.
 _FPMIN = sys.float_info.min / sys.float_info.epsilon
 
@@ -64,27 +41,7 @@ _EPSILON = 1e-14
 
 _BISECT_MAX_ITERATIONS = 256
 
-
-def log_gamma(a: float) -> float:
-    """Natural log of the gamma function for a > 0.
-
-    Lanczos approximation with fixed published coefficients (g = 607/128);
-    relative error <= 1e-13 over [1e-3, 1e6].
-
-    Raises:
-        ValueError: if a is not a finite positive number.
-    """
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise ValueError(f"log_gamma requires finite a > 0, got {a!r}")
-    a = float(a)
-    tmp = a + _LANCZOS_G_PLUS_HALF
-    tmp = (a + 0.5) * math.log(tmp) - tmp
-    series = _LANCZOS_C0
-    y = a
-    for c in _LANCZOS_COEFFS:
-        y += 1.0
-        series += c / y
-    return tmp + math.log(_SQRT_2PI * series / a)
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def reg_lower_inc_gamma(a: float, x: float) -> float:
@@ -93,9 +50,9 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
     Equivalently the CDF at x of a Gamma(shape=a, rate=1) random variable.
     Power series for x < a + 1, modified Lentz continued fraction otherwise;
     the x^a e^{-x} / Gamma(a) prefactor is assembled in log space so large
-    shapes do not overflow. Absolute error <= 1e-12 for a in [0.1, 500],
-    x in [0, 1000]; at larger shapes cancellation in the log prefactor
-    dominates, about 1e-10 at a = 1e5 for x within a few sqrt(a) of a.
+    shapes do not overflow, and near x = a without cancellation. Absolute
+    error <= 5e-14 for a in [0.1, 500], x in [0, 1000], and <= 1e-12 for
+    shapes up to 1e6 with x within a few sqrt(a) of a.
 
     Raises:
         ValueError: if a <= 0, x < 0, or either is not finite.
@@ -126,8 +83,22 @@ def _iteration_budget(a: float) -> int:
 
 
 def _log_prefactor(a: float, x: float) -> float:
-    # log of x^a e^{-x} / Gamma(a)
-    return a * math.log(x) - x - log_gamma(a)
+    # log of x^a e^{-x} / Gamma(a). Near x = a the terms of the direct form
+    # cancel, so there the Stirling part of ln Gamma(a) is taken out
+    # analytically, as in Cephes igam_fac: with t = (x - a) / a the log is
+    # a (log1p(t) - t) + ln(a / 2 pi) / 2 - mu(a), where mu(a) is the
+    # remainder ln Gamma(a) - ((a - 1/2) ln a - a + ln(2 pi) / 2). Far from
+    # x = a the direct form stays: there t can round to -1. The 5-term
+    # Stirling series of mu is below 1e-17 off from a = 20 on.
+    if abs(x - a) > 0.4 * a:
+        return a * math.log(x) - x - math.lgamma(a)
+    if a < 20.0:
+        mu = math.lgamma(a) - ((a - 0.5) * math.log(a) - a + _HALF_LN_2PI)
+    else:
+        r = 1.0 / (a * a)
+        mu = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / a
+    t = (x - a) / a
+    return a * (math.log1p(t) - t) + 0.5 * math.log(a) - _HALF_LN_2PI - mu
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
