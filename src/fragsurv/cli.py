@@ -33,7 +33,6 @@ from .specfun import BracketError, ConvergenceError
 from .survival import (
     AnalysisConfig,
     GammaParams,
-    Observation,
     SurvivalDataset,
     posterior_prob_median_exceeds,
     posterior_update,
@@ -73,7 +72,7 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
     if header != ["time", "status"]:
         raise IngestError(f"{path}: row 1: header must be 'time,status', got {','.join(rows[0])!r}")
 
-    observations = []
+    times, events = [], bytearray()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # ignore blank lines
@@ -88,11 +87,12 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
             raise IngestError(f"{path}: row {lineno}: column 1: time must be positive and finite, got {time_text!r}")
         if status_text not in ("0", "1"):
             raise IngestError(f"{path}: row {lineno}: column 2: status must be 0 or 1, got {status_text!r}")
-        observations.append(Observation(time, int(status_text)))
+        times.append(time)
+        events.append(status_text == "1")
 
-    if not observations:
+    if not times:
         raise IngestError(f"{path}: no data rows")
-    return SurvivalDataset(tuple(observations), time_unit)
+    return SurvivalDataset.from_columns(times, events, time_unit)
 
 
 def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
@@ -101,7 +101,7 @@ def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
 
 
 def _csv_text(dataset: SurvivalDataset) -> str:
-    return "time,status\n" + "".join(f"{o.time!r},{o.event}\n" for o in dataset.observations)
+    return "time,status\n" + "".join(f"{t!r},{e}\n" for t, e in zip(dataset.times, dataset.events))
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +167,11 @@ def build_report(
     dataset: SurvivalDataset,
     config: AnalysisConfig,
     path: str | Path,
+    initial_prob: float,
     fragility: dict | None,
     km: dict | None = None,
 ) -> dict:
     posterior = posterior_update(config.prior, dataset)
-    initial_prob = posterior_prob_median_exceeds(posterior, config.t0)
     return {
         "tool": {"name": _PROG, "version": __version__},
         "input": {
@@ -358,10 +358,7 @@ def reconstruct_case_dataset(case: CaseStudy, prior: GammaParams = _CASE_PRIOR) 
     """
     posterior_rate = calibrate(prior.shape + case.events, case.reported_initial_prob, case.t0)
     per_subject = (posterior_rate - prior.rate) / case.n
-    observations = [Observation(per_subject, 1)] * case.events + [
-        Observation(per_subject, 0)
-    ] * case.censored
-    return SurvivalDataset(tuple(observations))
+    return SurvivalDataset.from_columns([per_subject] * case.n, [1] * case.events + [0] * case.censored)
 
 
 def run_reproduce_paper() -> tuple[dict, list[str]]:
@@ -537,7 +534,8 @@ def _cmd_analyze(args) -> int:
     dataset = ingest_csv(args.csv, args.time_unit)
     config = _analysis_config(args)
     km = _km_json(dataset) if args.with_km else None
-    report = build_report(dataset, config, args.csv, fragility=None, km=km)
+    initial_prob = posterior_prob_median_exceeds(posterior_update(config.prior, dataset), config.t0)
+    report = build_report(dataset, config, args.csv, initial_prob, fragility=None, km=km)
     _emit(_render(report, args.format), args.out)
     return EXIT_OK
 
@@ -548,10 +546,11 @@ def _cmd_fi(args) -> int:
     km = _km_json(dataset) if args.with_km else None
     not_applicable = None
     try:
-        fragility = _fragility_json(fragility_index(dataset, config))
+        result = fragility_index(dataset, config)
+        initial_prob, fragility = result.initial_prob, _fragility_json(result)
     except NotFragileApplicableError as exc:
-        fragility, not_applicable = {"applicable": False}, exc
-    report = build_report(dataset, config, args.csv, fragility=fragility, km=km)
+        initial_prob, fragility, not_applicable = exc.initial_prob, {"applicable": False}, exc
+    report = build_report(dataset, config, args.csv, initial_prob, fragility=fragility, km=km)
     _emit(_render(report, args.format), args.out)
     if not_applicable is None:
         return EXIT_OK

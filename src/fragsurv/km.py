@@ -43,9 +43,9 @@ def km_estimate(data: SurvivalDataset) -> KMCurve:
     """
     events_at: dict[float, int] = {}
     censored_at: dict[float, int] = {}
-    for o in data.observations:
-        bucket = events_at if o.event == 1 else censored_at
-        bucket[o.time] = bucket.get(o.time, 0) + 1
+    for t, e in zip(data.times, data.events):
+        bucket = events_at if e else censored_at
+        bucket[t] = bucket.get(t, 0) + 1
 
     at_risk = data.n
     survival = Fraction(1)
@@ -57,7 +57,7 @@ def km_estimate(data: SurvivalDataset) -> KMCurve:
             steps.append(KMStep(time=t, survival=survival, at_risk=at_risk, events=d))
         at_risk -= d + censored_at.get(t, 0)
 
-    censor_marks = tuple(sorted(o.time for o in data.observations if o.event == 0))
+    censor_marks = tuple(sorted(t for t, e in zip(data.times, data.events) if not e))
     return KMCurve(steps=tuple(steps), censor_marks=censor_marks)
 
 

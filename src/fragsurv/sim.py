@@ -13,12 +13,13 @@ from dataclasses import dataclass, replace
 
 from .fragility import NotFragileApplicableError, fragility_index
 from .specfun import BracketError, ConvergenceError
-from .survival import AnalysisConfig, Observation, SurvivalDataset
+from .survival import AnalysisConfig, SurvivalDataset
 
 __all__ = ["SplitMix64", "SimSpec", "simulate_trial", "fi_distribution"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_LARGEST_LOG_DRAW = -math.log(2.0**-54)  # uniform() is never below 2^-54
 
 
 def _mix64(z: int) -> int:
@@ -74,6 +75,9 @@ class SimSpec:
             raise ValueError(f"censor_time must be finite and > 0, got {self.censor_time!r}")
         if self.censor_rate is not None and not (math.isfinite(self.censor_rate) and self.censor_rate > 0):
             raise ValueError(f"censor_rate must be finite and > 0, got {self.censor_rate!r}")
+        for name, rate in (("event_rate", self.event_rate), ("censor_rate", self.censor_rate)):
+            if rate is not None and math.isinf(_LARGEST_LOG_DRAW / rate):
+                raise ValueError(f"{name} {rate!r} is too small: the largest draw -ln(2^-54) / rate overflows")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -87,7 +91,7 @@ def simulate_trial(spec: SimSpec) -> SurvivalDataset:
     bit-identical datasets.
     """
     rng = SplitMix64(spec.seed)
-    observations = []
+    times, events = [], bytearray()
     for _ in range(spec.n):
         t = -math.log(rng.uniform()) / spec.event_rate
         if spec.censor_time is not None:
@@ -96,8 +100,9 @@ def simulate_trial(spec: SimSpec) -> SurvivalDataset:
             c = -math.log(rng.uniform()) / spec.censor_rate
         else:
             c = math.inf
-        observations.append(Observation(min(t, c), int(t <= c)))
-    return SurvivalDataset(tuple(observations))
+        times.append(min(t, c))
+        events.append(t <= c)
+    return SurvivalDataset.from_columns(times, events)
 
 
 def fi_distribution(

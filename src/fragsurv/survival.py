@@ -11,6 +11,7 @@ Gamma(shape + #events, rate + sum of all follow-up times).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .specfun import reg_lower_inc_gamma
@@ -44,39 +45,70 @@ class Observation:
         object.__setattr__(self, "event", int(self.event))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurvivalDataset:
-    """Ordered, nonempty collection of observations sharing one time unit.
+    """Ordered, nonempty survival data in one time unit, stored as two columns.
 
-    The unit is descriptive metadata only; times are never converted. The
-    event count and the total follow-up time, the sufficient statistics of
-    the exponential model, are computed once on construction.
+    `times` (finite, > 0) and `events` (one 0/1 byte per subject) keep input
+    order. Built from `Observation`s or by `from_columns`, through the same
+    checks. The unit is metadata only. The event count and total follow-up
+    time, the model's sufficient statistics, are computed once.
     """
 
-    observations: tuple[Observation, ...]
-    time_unit: str = "months"
-    num_events: int = field(init=False, repr=False, compare=False)
-    total_time: float = field(init=False, repr=False, compare=False)
+    times: tuple[float, ...]
+    events: bytes
+    time_unit: str
+    num_events: int = field(repr=False, compare=False)
+    total_time: float = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        obs = tuple(self.observations)
-        if not obs:
-            raise ValueError("a survival dataset must contain at least one observation")
-        events, total_time = 0, 0.0
+    def __init__(self, observations: Iterable[Observation], time_unit: str = "months"):
+        obs = tuple(observations)
         for o in obs:
             if not isinstance(o, Observation):
                 raise ValueError(f"expected Observation, got {o!r}")
-            events += o.event
+        self._set_columns([o.time for o in obs], [o.event for o in obs], time_unit)
+
+    @classmethod
+    def from_columns(cls, times: Iterable[float], events: Iterable[int], time_unit: str = "months") -> SurvivalDataset:
+        """Dataset from a sequence of times and a parallel sequence of 0/1 indicators."""
+        dataset = cls.__new__(cls)
+        dataset._set_columns(times, events, time_unit)
+        return dataset
+
+    def _set_columns(self, times: Iterable[float], events: Iterable[int], time_unit: str) -> None:
+        times = tuple(times)
+        try:
+            events = bytes(events)
+        except (TypeError, ValueError):
+            raise ValueError("event indicators must be the integers 0 and 1") from None
+        bad = events.translate(None, b"\x00\x01")
+        if bad:
+            raise ValueError(f"event indicator must be 0 or 1, got {bad[0]}")
+        if len(times) != len(events):
+            raise ValueError(f"{len(times)} times but {len(events)} event indicators")
+        if not times:
+            raise ValueError("a survival dataset must contain at least one observation")
+        total_time = 0.0
+        for t in times:
+            if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
+                raise ValueError(f"observation time must be finite and > 0, got {t!r}")
             # Plain row-order addition: the same bits on every Python version
             # (sum() of floats is compensated from 3.12 on).
-            total_time += o.time
-        object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "num_events", events)
+            total_time += t
+        object.__setattr__(self, "times", tuple(map(float, times)))
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "time_unit", time_unit)
+        object.__setattr__(self, "num_events", events.count(1))
         object.__setattr__(self, "total_time", total_time)
 
     @property
+    def observations(self) -> tuple[Observation, ...]:
+        """The rows as `Observation`s, built on each access."""
+        return tuple(map(Observation, self.times, self.events))
+
+    @property
     def n(self) -> int:
-        return len(self.observations)
+        return len(self.times)
 
     @property
     def num_censored(self) -> int:

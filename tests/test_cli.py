@@ -96,6 +96,27 @@ class TestIngestCsv:
         with pytest.raises(IngestError):
             ingest_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "0"])
+    def test_non_positive_or_non_finite_time_names_row(self, tmp_path, time):
+        path = tmp_path / "d.csv"
+        path.write_text(f"time,status\n2,1\n{time},0\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="row 3: column 1: time must be positive and finite"):
+            ingest_csv(path)
+
+    def test_three_columns_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("time,status\n2,1,7\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="row 2: expected 2 columns, got 3"):
+            ingest_csv(path)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("time,status\n2,1\n\n3,0\n\n", encoding="utf-8")
+        assert ingest_csv(path).n == 2
+        path.write_text("time,status\n2,1\n\n3,x\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="row 4: column 2"):
+            ingest_csv(path)
+
     def test_roundtrip_simulated_dataset(self, tmp_path):
         data = simulate_trial(SimSpec(n=40, event_rate=0.3, censor_rate=0.1, seed=123))
         path = tmp_path / "sim.csv"
@@ -179,6 +200,16 @@ class TestFiCommand:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["fragility"]["fi"] == 2
 
+    def test_t0_that_overflows_x_is_not_attained(self, demo_csv, capsys):
+        # rate * ln 2 / t0 overflows to inf, where P(a, inf) = 1
+        code = main(["fi", demo_csv, "--t0", "1e-320"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["initial_probability"] == 1.0
+        assert report["fragility"]["attained"] is False
+        assert [step["probability"] for step in report["fragility"]["trajectory"]] == [1.0, 1.0, 1.0]
+
     def test_with_km_embeds_curve(self, demo_csv, capsys):
         main(["fi", demo_csv, "--t0", "2", "--with-km"])
         report = json.loads(capsys.readouterr().out)
@@ -231,6 +262,10 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert "not-fragile-applicable" in captured.err
         assert json.loads(captured.out)["fragility"] == {"applicable": False}
+
+    def test_t0_that_overflows_x_gives_probability_one(self, demo_csv, capsys):
+        assert main(["analyze", demo_csv, "--t0", "1e-320"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["initial_probability"] == 1.0
 
 
 class TestKmCommand:
@@ -355,6 +390,15 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             "fragsurv: input-error: specify at most one of censor_time and censor_rate\n"
         )
+
+    @pytest.mark.parametrize("flag", ["--rate", "--censor-rate"])
+    def test_rate_whose_draws_overflow_is_input_error(self, capsys, flag):
+        argv = ["simulate", "--n", "5", "--rate", "1"] + [flag, "1e-320"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fragsurv: input-error: ")
+        assert "rate 1e-320 is too small" in captured.err
 
 
 class TestReproducePaper:

@@ -95,10 +95,16 @@ class TestRegLowerIncGamma:
     def test_always_a_probability(self, a, x):
         assert 0.0 <= reg_lower_inc_gamma(a, x) <= 1.0
 
-    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.inf)])
+    @pytest.mark.parametrize(
+        "a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)]
+    )
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(a, x)
+
+    @pytest.mark.parametrize("a", [0.1, 1.0, 500.0, 1e6])
+    def test_infinite_x_is_the_limit_one(self, a):
+        assert reg_lower_inc_gamma(a, math.inf) == 1.0
 
     def test_reports_iteration_count_on_convergence_failure(self, monkeypatch):
         # near the series/fraction split at large shape, 50 iterations is not enough

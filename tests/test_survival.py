@@ -68,6 +68,39 @@ class TestSurvivalDataset:
         d = SurvivalDataset((Observation(1, 1),), time_unit="weeks")
         assert d.time_unit == "weeks"
 
+    def test_from_columns_equals_the_observation_constructor(self):
+        rng = random.Random(61)
+        for _ in range(50):
+            n = rng.randint(1, 400)
+            times = [rng.expovariate(rng.uniform(0.05, 2.0)) + 1e-9 for _ in range(n)]
+            events = [rng.randint(0, 1) for _ in range(n)]
+            columns = SurvivalDataset.from_columns(times, bytearray(events), "weeks")
+            rows = SurvivalDataset(tuple(map(Observation, times, events)), "weeks")
+            assert columns == rows and hash(columns) == hash(rows)
+            assert columns.num_events == rows.num_events == sum(events)
+            assert columns.total_time.hex() == rows.total_time.hex()
+            assert columns.observations == rows.observations
+            assert [(o.time, o.event) for o in columns.observations] == list(zip(times, events))
+
+    @pytest.mark.parametrize(
+        "times,events",
+        [
+            ([1.0, 2.0], [1]),
+            ([1.0], [1, 0]),
+            ([math.nan], [1]),
+            ([math.inf], [0]),
+            ([0.0], [1]),
+            ([-1.0], [0]),
+            ([1.0, 2.0], [1, 2]),
+            ([1.0, 2.0], b"\x01\x02"),
+            ([], []),
+        ],
+        ids=["short-events", "short-times", "nan", "inf", "zero", "negative", "event-2", "event-byte-2", "empty"],
+    )
+    def test_from_columns_rejects_bad_columns(self, times, events):
+        with pytest.raises(ValueError):
+            SurvivalDataset.from_columns(times, events)
+
 
 class TestGammaParams:
     @pytest.mark.parametrize("shape,rate", [(0, 1), (1, 0), (-1, 1), (1, -1), (math.inf, 1), (1, math.nan)])

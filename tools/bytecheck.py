@@ -15,9 +15,10 @@ change is that field from any other difference.
 `run` also keeps what each op emitted, under A.kept/<op index>/ next to the
 record. `compare` parses every stream or file that differs: JSON as a tree,
 anything else line by line with the numbers split out. It reports the ops
-whose only change is in float values, with the largest absolute change, and
-lists every other difference (exit code, keys, integers, strings, stderr
-lines).
+whose only change is in float values, with the largest absolute and the
+largest relative change (|a - b| / max(|a|, |b|), which shows the drift of
+values far below 1 that an absolute maximum hides), and lists every other
+difference (exit code, keys, integers, strings, stderr lines).
 """
 
 from __future__ import annotations
@@ -77,10 +78,11 @@ def run(seed: int, work: Path, keep: Path) -> list[dict]:
 
 
 class _ValueDiff:
-    """Walks two parsed outputs; collects the largest float change and every other difference."""
+    """Walks two parsed outputs; collects the largest float changes and every other difference."""
 
     def __init__(self):
         self.max_float = 0.0
+        self.max_rel = 0.0
         self.floats = 0
         self.other: list[str] = []
 
@@ -91,6 +93,7 @@ class _ValueDiff:
             return
         self.floats += 1
         self.max_float = max(self.max_float, delta)
+        self.max_rel = max(self.max_rel, delta / max(abs(a), abs(b)))
 
     def tree(self, a, b, where: str) -> None:
         if type(a) is float and type(b) is float:
@@ -154,7 +157,7 @@ def compare(a: list[dict], b: list[dict]) -> int:
         print("op lists differ")
         return 1
     same = floats_only = 0
-    worst = 0.0
+    worst = worst_rel = 0.0
     for ra, rb in zip(a, b):
         if all(ra[k] == rb[k] for k in ("exit", "stdout", "stderr", "files")):
             same += 1
@@ -166,7 +169,8 @@ def compare(a: list[dict], b: list[dict]) -> int:
             what = "survival_exact only"
         else:
             diff = _value_diff(ra, rb, [s for s in streams if s != "exit"] + raw)
-            moved = (f"{diff.floats} floats moved, max |delta| {diff.max_float:.3g}"
+            moved = (f"{diff.floats} floats moved, max |delta| {diff.max_float:.3g}, "
+                     f"max rel {diff.max_rel:.3g}"
                      if diff.floats else "no float moved")
             if diff.other:
                 what = "; ".join([moved, *diff.other])
@@ -174,9 +178,11 @@ def compare(a: list[dict], b: list[dict]) -> int:
                 what = f"floats only: {moved}"
                 floats_only += 1
                 worst = max(worst, diff.max_float)
+                worst_rel = max(worst_rel, diff.max_rel)
         print(f"{ra['workload']}: {ra['op']}: {what}")
     print(f"{same} of {len(a)} ops byte-identical")
-    print(f"{floats_only} of {len(a)} ops differ in float values only (max |delta| {worst:.3g}); "
+    print(f"{floats_only} of {len(a)} ops differ in float values only "
+          f"(max |delta| {worst:.3g}, max rel {worst_rel:.3g}); "
           f"{len(a) - same - floats_only} differ otherwise")
     return 0
 
