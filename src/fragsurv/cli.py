@@ -139,21 +139,15 @@ def _fragility_json(result: FragilityResult) -> dict:
     }
 
 
-# Above this many subjects the exact KM denominators (up to n! for n
-# subjects) outgrow what a report can carry: at 3e4 rows they reach 11.5k
-# digits, past Python's int-to-str limit of 4300. 300! has 615 digits.
-_EXACT_KM_MAX_N = 300
-
-
 def _km_json(dataset: SurvivalDataset) -> dict:
     curve = km_estimate(dataset)
-    exact = dataset.n <= _EXACT_KM_MAX_N
     return {
         "steps": [
             {
                 "time": s.time,
                 "survival": float(s.survival),
-                **({"survival_exact": f"{s.survival.numerator}/{s.survival.denominator}"} if exact else {}),
+                **({"survival_exact": f"{s.survival.numerator}/{s.survival.denominator}"}
+                   if isinstance(s.survival, Fraction) else {}),
                 "at_risk": s.at_risk,
                 "events": s.events,
             }

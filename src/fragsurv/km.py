@@ -1,8 +1,8 @@
 """Kaplan-Meier product-limit estimator and staircase extraction.
 
-Survival values are kept as exact rationals so the product-limit estimate
-can be compared exactly against brute-force recounts; callers wanting
-floats convert at the edge (km_to_plot_points does).
+Up to _EXACT_KM_MAX_N subjects survival values are exact rationals, to be
+compared exactly against brute-force recounts; above it they are the running
+float product, within about 1e-14 relative of the exact value.
 """
 
 from __future__ import annotations
@@ -15,13 +15,18 @@ from .survival import SurvivalDataset
 
 __all__ = ["KMStep", "KMCurve", "km_estimate", "km_to_plot_points"]
 
+# Above this many subjects the exact denominators (up to n! for n subjects)
+# cost more than the whole analysis: at 3e4 rows the largest has 5769
+# digits, past Python's int-to-str limit of 4300. 300! has 615 digits.
+_EXACT_KM_MAX_N = 300
+
 
 @dataclass(frozen=True)
 class KMStep:
-    """Estimate immediately after a distinct event time."""
+    """Estimate after a distinct event time; `survival` is a float above _EXACT_KM_MAX_N subjects."""
 
     time: float
-    survival: Fraction
+    survival: Fraction | float
     at_risk: int
     events: int
 
@@ -48,12 +53,13 @@ def km_estimate(data: SurvivalDataset) -> KMCurve:
         bucket[t] = bucket.get(t, 0) + 1
 
     at_risk = data.n
-    survival = Fraction(1)
+    exact = at_risk <= _EXACT_KM_MAX_N
+    survival = Fraction(1) if exact else 1.0
     steps = []
     for t in sorted(set(events_at) | set(censored_at)):
         d = events_at.get(t, 0)
         if d > 0:
-            survival *= Fraction(at_risk - d, at_risk)
+            survival *= Fraction(at_risk - d, at_risk) if exact else (at_risk - d) / at_risk
             steps.append(KMStep(time=t, survival=survival, at_risk=at_risk, events=d))
         at_risk -= d + censored_at.get(t, 0)
 

@@ -41,6 +41,26 @@ class TestKmEstimate:
             expected = km_recount(data)
             assert [(s.time, s.survival, s.at_risk, s.events) for s in curve.steps] == expected
 
+    def test_float_product_above_300_subjects_matches_exact_recount(self):
+        rng = random.Random(301)
+        for _ in range(4):
+            n = rng.randint(301, 2000)
+            times = [rng.randint(1, 120) * 0.25 for _ in range(n)]  # ties within and across kinds
+            data = SurvivalDataset.from_columns(times, [rng.randint(0, 1) for _ in range(n)])
+            curve = km_estimate(data)
+            expected = km_recount(data)
+            assert [(s.time, s.at_risk, s.events) for s in curve.steps] == [
+                (t, at_risk, d) for t, _, at_risk, d in expected
+            ]
+            for step, (_, exact, _, _) in zip(curve.steps, expected):
+                assert type(step.survival) is float
+                assert abs(step.survival - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("n,kind", [(300, Fraction), (301, float)])
+    def test_survival_is_exact_up_to_300_subjects(self, n, kind):
+        data = SurvivalDataset.from_columns([1.0 + i % 7 for i in range(n)], [1] * n)
+        assert {type(s.survival) for s in km_estimate(data).steps} == {kind}
+
     def test_no_censoring_equals_one_minus_ecdf(self):
         rng = random.Random(7)
         for _ in range(20):
