@@ -55,7 +55,7 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
 
     The header must be exactly `time,status` (case-insensitive). Every data
     row must carry a positive finite time and a status of 0 or 1; the first
-    offending row is reported by number.
+    offending row is reported by number. The total time must not overflow.
     """
     path = Path(path)
     try:
@@ -92,7 +92,10 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
 
     if not times:
         raise IngestError(f"{path}: no data rows")
-    return SurvivalDataset.from_columns(times, events, time_unit)
+    dataset = SurvivalDataset.from_columns(times, events, time_unit)
+    if math.isinf(dataset.total_time):
+        raise IngestError(f"{path}: total follow-up time overflows")
+    return dataset
 
 
 def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
@@ -643,12 +646,8 @@ def _cmd_simulate(args) -> int:
             raise IngestError("--replications requires --t0")
         config = _analysis_config(args)
         counts = fi_distribution(spec, config, args.replications)
-        ordered: dict[str, int] = {}
-        for key in sorted(k for k in counts if isinstance(k, int)):
-            ordered[str(key)] = counts[key]
-        for marker in ("not_attained", "not_applicable", "error"):
-            if marker in counts:
-                ordered[marker] = counts[marker]
+        ordered = {str(k): counts[k] for k in sorted(k for k in counts if isinstance(k, int))}
+        ordered.update((m, counts[m]) for m in ("not_attained", "not_applicable", "error") if m in counts)
         report = {
             "tool": {"name": _PROG, "version": __version__},
             "spec": asdict(spec),

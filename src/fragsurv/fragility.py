@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .specfun import BracketError, ConvergenceError, bisect_root, reg_lower_inc_gamma
+from .specfun import BracketError, ConvergenceError, bisect_root, reg_gamma_shape_step, reg_lower_inc_gamma
 from .survival import LN2, AnalysisConfig, GammaParams, SurvivalDataset, posterior_update
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "GridCell",
     "SensitivityGrid",
     "fragility_index",
+    "crossing_fi",
     "fragility_quotient",
     "calibrate",
     "sensitivity_scan",
@@ -40,6 +41,10 @@ SENSITIVITY_AXES = ("prior_shape", "prior_rate", "t0", "p0")
 _CALIBRATE_BRACKET_LO = 1e-12
 _CALIBRATE_BRACKET_TOL = 1e-12
 _CALIBRATE_MAX_DOUBLINGS = 200
+
+# The recurrence stayed within 5.6e-13 of the kernel over 2314 seeded starts x 400
+# steps (a in [0.3, 7.5e5], x in [a - 10 sqrt(a), 50 a]); the kernel is pinned at 1e-12.
+_WINDOW = 1e-9
 
 
 class NotFragileApplicableError(Exception):
@@ -133,6 +138,26 @@ def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityR
         fq=Fraction(fi, data.n) if fi is not None else None,
         config=config,
     )
+
+
+def crossing_fi(events: int, total_time: float, censored: int, config: AnalysisConfig) -> int | None:
+    """fragility_index(data, config).fi from the data's sufficient statistics; raises as it does.
+
+    P steps down by the shape recurrence; the kernel gives P(0) and decides, with
+    the same strict `<`, each k whose step value is within _WINDOW above p0."""
+    posterior = GammaParams(config.prior.shape + events, config.prior.rate + total_time)
+    x = posterior.rate * LN2 / config.t0
+    prob = reg_lower_inc_gamma(posterior.shape, x)
+    if not prob > config.p0:
+        raise NotFragileApplicableError(prob, config.p0)
+    for k in range(1, censored + 1):
+        # Shapes summed as fragility_index sums them.
+        prob -= reg_gamma_shape_step(config.prior.shape + (events + k - 1), x)
+        if not prob > config.p0 + _WINDOW:
+            prob = reg_lower_inc_gamma(config.prior.shape + (events + k), x)
+            if prob < config.p0:
+                return k
+    return None
 
 
 def fragility_quotient(fi: int, n: int) -> Fraction:

@@ -1,8 +1,8 @@
-"""Deterministic synthetic-trial generation and fragility-index Monte Carlo.
+"""Deterministic synthetic trials, and a fragility-index Monte Carlo that runs on
+each replication's sufficient statistics without building its dataset.
 
-Randomness comes from an in-repo SplitMix64 generator rather than the
-platform default, so identical seeds give bit-identical datasets on every
-platform and language runtime.
+Randomness comes from an in-repo SplitMix64 generator rather than the platform
+default, so identical seeds give bit-identical draws on every platform.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .fragility import NotFragileApplicableError, fragility_index
-from .specfun import BracketError, ConvergenceError
+from .fragility import NotFragileApplicableError, crossing_fi
+from .specfun import ConvergenceError
 from .survival import AnalysisConfig, SurvivalDataset
 
 __all__ = ["SplitMix64", "SimSpec", "simulate_trial", "fi_distribution"]
@@ -71,10 +71,9 @@ class SimSpec:
             raise ValueError(f"event_rate must be finite and > 0, got {self.event_rate!r}")
         if self.censor_time is not None and self.censor_rate is not None:
             raise ValueError("specify at most one of censor_time and censor_rate")
-        if self.censor_time is not None and not (math.isfinite(self.censor_time) and self.censor_time > 0):
-            raise ValueError(f"censor_time must be finite and > 0, got {self.censor_time!r}")
-        if self.censor_rate is not None and not (math.isfinite(self.censor_rate) and self.censor_rate > 0):
-            raise ValueError(f"censor_rate must be finite and > 0, got {self.censor_rate!r}")
+        for name, value in (("censor_time", self.censor_time), ("censor_rate", self.censor_rate)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name, rate in (("event_rate", self.event_rate), ("censor_rate", self.censor_rate)):
             if rate is not None and math.isinf(_LARGEST_LOG_DRAW / rate):
                 raise ValueError(f"{name} {rate!r} is too small: the largest draw -ln(2^-54) / rate overflows")
@@ -82,16 +81,10 @@ class SimSpec:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
-def simulate_trial(spec: SimSpec) -> SurvivalDataset:
-    """Draw one dataset: T = -ln(U) / event_rate per subject, then censoring.
-
-    Administrative censoring records (censor_time, 0) whenever T exceeds the
-    cutoff; exponential censoring draws C the same way (second uniform per
-    subject) and records (min(T, C), [T <= C]). Identical seeds give
-    bit-identical datasets.
-    """
+def _draws(spec: SimSpec):
+    """Yield (min(T, C), T <= C) per subject: T = -ln(U) / event_rate, C = censor_time,
+    -ln(U') / censor_rate (a second uniform) or inf. A time of 0 raises as SurvivalDataset."""
     rng = SplitMix64(spec.seed)
-    times, events = [], bytearray()
     for _ in range(spec.n):
         t = -math.log(rng.uniform()) / spec.event_rate
         if spec.censor_time is not None:
@@ -100,8 +93,18 @@ def simulate_trial(spec: SimSpec) -> SurvivalDataset:
             c = -math.log(rng.uniform()) / spec.censor_rate
         else:
             c = math.inf
-        times.append(min(t, c))
-        events.append(t <= c)
+        time = min(t, c)
+        if not time > 0.0:
+            raise ValueError(f"observation time must be finite and > 0, got {time!r}")
+        yield time, t <= c
+
+
+def simulate_trial(spec: SimSpec) -> SurvivalDataset:
+    """One dataset of the subjects of `_draws`; identical seeds give bit-identical datasets."""
+    times, events = [], bytearray()
+    for time, event in _draws(spec):
+        times.append(time)
+        events.append(event)
     return SurvivalDataset.from_columns(times, events)
 
 
@@ -113,19 +116,22 @@ def fi_distribution(
     Keys are attained index values (ints) plus the markers "not_attained",
     "not_applicable" and "error"; counts always sum to `replications`.
     Replication i uses substream i of the seed, so prefixes agree across
-    different replication counts.
-    """
+    different replication counts. Builds no dataset: `crossing_fi` takes each
+    replication's event count and total time, summed as SurvivalDataset does."""
     if not (isinstance(replications, int) and replications >= 1):
         raise ValueError(f"replications must be a positive integer, got {replications!r}")
     counts: Counter[int | str] = Counter()
     for i in range(replications):
-        dataset = simulate_trial(replace(spec, seed=substream_seed(spec.seed, i)))
+        events, total_time = 0, 0.0
+        for time, event in _draws(replace(spec, seed=substream_seed(spec.seed, i))):
+            events += event
+            total_time += time
         try:
-            result = fragility_index(dataset, config)
+            fi = crossing_fi(events, total_time, spec.n - events, config)
         except NotFragileApplicableError:
             counts["not_applicable"] += 1
-        except (ConvergenceError, BracketError, ValueError):
+        except (ConvergenceError, ValueError):
             counts["error"] += 1
         else:
-            counts[result.fi if result.attained else "not_attained"] += 1
+            counts["not_attained" if fi is None else fi] += 1
     return dict(counts)

@@ -3,8 +3,8 @@
 Self-contained double-precision kernel on the standard library's
 `math.lgamma`: the regularized lower incomplete gamma function P(a, x)
 (series / continued fraction split, as in Numerical Recipes ch. 6, with the
-prefactor formed as in Cephes igam.c), and bracketed bisection. No external
-numerical dependencies.
+prefactor formed as in Cephes igam.c), its shape step P(a, x) - P(a + 1, x),
+and bracketed bisection. No external numerical dependencies.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ __all__ = [
     "ConvergenceError",
     "BracketError",
     "reg_lower_inc_gamma",
+    "reg_gamma_shape_step",
     "bisect_root",
 ]
 
@@ -76,6 +77,16 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
         p = 1.0 - _upper_gamma_cont_fraction(a, x)
     # Guard against sub-ulp overshoot at the boundaries.
     return min(1.0, max(0.0, p))
+
+
+def reg_gamma_shape_step(a: float, x: float) -> float:
+    """P(a, x) - P(a + 1, x) = x^a e^{-x} / Gamma(a + 1) (DLMF 8.8.5), 0 at x = 0 and +inf.
+    Formed afresh from the kernel's prefactor: a running product underflows for x >> a."""
+    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0 and x >= 0):
+        raise ValueError(f"reg_gamma_shape_step requires finite a > 0 and x >= 0, got {a!r}, {x!r}")
+    if x == 0.0 or x == math.inf:
+        return 0.0
+    return math.exp(_log_prefactor(a, x)) / a
 
 
 def _iteration_budget(a: float) -> int:

@@ -2,18 +2,25 @@
 
 Everything here deliberately avoids the code paths under test: erf comes
 from its own power series, square roots from exact integer arithmetic,
-Kaplan-Meier from a quadratic-time recount in exact rationals, and the
-fragility search from a direct scan built on scipy's incomplete gamma.
+Kaplan-Meier from a quadratic-time recount in exact rationals, the
+fragility search from a direct scan built on scipy's incomplete gamma, and
+the Monte Carlo histogram from one dataset and one kernel-evaluated search
+per replication.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 from scipy.special import gammainc as scipy_gammainc
 
+from fragsurv.fragility import NotFragileApplicableError, fragility_index
+from fragsurv.sim import SimSpec, simulate_trial, substream_seed
+from fragsurv.specfun import BracketError, ConvergenceError
 from fragsurv.survival import LN2, AnalysisConfig, Observation, SurvivalDataset
 
 
@@ -87,6 +94,23 @@ def exhaustive_fi(data: SurvivalDataset, config: AnalysisConfig) -> int | str:
         if scipy_gammainc(shape + k, x0) < config.p0:
             return k
     return "not_attained"
+
+
+def fi_histogram_reference(spec: SimSpec, config: AnalysisConfig, reps: int) -> dict[int | str, int]:
+    """fi_distribution's histogram from `simulate_trial` and `fragility_index`
+    per replication, with the kernel evaluated at every flip."""
+    counts: Counter[int | str] = Counter()
+    for i in range(reps):
+        dataset = simulate_trial(replace(spec, seed=substream_seed(spec.seed, i)))
+        try:
+            result = fragility_index(dataset, config)
+        except NotFragileApplicableError:
+            counts["not_applicable"] += 1
+        except (ConvergenceError, BracketError, ValueError):
+            counts["error"] += 1
+        else:
+            counts[result.fi if result.attained else "not_attained"] += 1
+    return dict(counts)
 
 
 def random_dataset(rng: random.Random, n: int, censor_fraction: float) -> SurvivalDataset:

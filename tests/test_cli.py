@@ -117,6 +117,16 @@ class TestIngestCsv:
         with pytest.raises(IngestError, match="row 4: column 2"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("command", ["fi", "analyze"])
+    def test_overflowing_total_follow_up_is_input_error(self, tmp_path, capsys, command):
+        # each row is valid; only their sum overflows
+        path = tmp_path / "big.csv"
+        path.write_text("time,status\n1e308,1\n1e308,0\n", encoding="utf-8")
+        assert main([command, str(path), "--t0", "1"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fragsurv: input-error: {path}: total follow-up time overflows\n"
+
     def test_roundtrip_simulated_dataset(self, tmp_path):
         data = simulate_trial(SimSpec(n=40, event_rate=0.3, censor_rate=0.1, seed=123))
         path = tmp_path / "sim.csv"

@@ -11,10 +11,12 @@ from scipy.special import gammaincinv as scipy_gammaincinv
 from fragsurv.fragility import (
     NotFragileApplicableError,
     calibrate,
+    crossing_fi,
     fragility_index,
     fragility_quotient,
     sensitivity_scan,
 )
+from fragsurv.specfun import reg_lower_inc_gamma
 from fragsurv.survival import (
     LN2,
     AnalysisConfig,
@@ -138,6 +140,79 @@ class TestFragilityIndex:
         if result.attained:
             assert result.fq == Fraction(result.fi, data.n)
             assert 0 < result.fq <= 1
+
+
+def counts_dataset(events, censored):
+    return SurvivalDataset.from_columns([1.0] * (events + censored), [1] * events + [0] * censored)
+
+
+def config_at(data, x, p0):
+    """Config whose posterior sits at P(shape, x) under the default prior."""
+    rate = posterior_update(GammaParams(0.5, 0.5), data).rate
+    return AnalysisConfig(t0=rate * LN2 / x, p0=p0)
+
+
+def kernel_trajectory(data, config):
+    x = posterior_update(config.prior, data).rate * LN2 / config.t0
+    return [reg_lower_inc_gamma(config.prior.shape + (data.num_events + k), x) for k in range(data.num_censored + 1)]
+
+
+def crossing_matches(data, config):
+    """crossing_fi on the statistics against fragility_index on the data."""
+    try:
+        expected = fragility_index(data, config).fi
+    except NotFragileApplicableError as exc:
+        with pytest.raises(NotFragileApplicableError) as excinfo:
+            crossing_fi(data.num_events, data.total_time, data.num_censored, config)
+        assert excinfo.value.initial_prob == exc.initial_prob
+        return "not_applicable"
+    assert crossing_fi(data.num_events, data.total_time, data.num_censored, config) == expected
+    return expected
+
+
+class TestCrossingFi:
+    @pytest.mark.parametrize("events,censored,z", [(20, 40, 1.5), (100_000, 400, 1.0)])
+    def test_p0_on_a_kernel_value_and_its_neighbours(self, events, censored, z):
+        # P(k) == p0 does not stop the search; one ulp lower or higher moves the FI
+        data = counts_dataset(events, censored)
+        a = 0.5 + events
+        base = config_at(data, a + z * math.sqrt(a), 0.5)
+        probs = kernel_trajectory(data, base)
+        for k in (1, 5, 12, 30):
+            assert probs[k + 1] < probs[k]
+            for p0, fi in ((probs[k], k + 1), (math.nextafter(probs[k], 0.0), k + 1), (math.nextafter(probs[k], 1.0), k)):
+                assert crossing_matches(data, AnalysisConfig(t0=base.t0, p0=p0)) == fi
+
+    def test_large_shape_near_the_mode(self):
+        data = counts_dataset(150_000, 1_000)
+        a = 150_000.5
+        for z, p0 in ((0.5, 0.6), (1.0, 0.7), (2.0, 0.9)):
+            assert isinstance(crossing_matches(data, config_at(data, a + z * math.sqrt(a), p0)), int)
+
+    def test_saturated_baseline(self):
+        data = counts_dataset(5, 400)
+        config = config_at(data, 200.0, 0.7)
+        assert kernel_trajectory(data, config)[:60] == [1.0] * 60
+        assert isinstance(crossing_matches(data, config), int)
+
+    @pytest.mark.parametrize("p0", [0.3, 0.7, 0.999])
+    def test_far_above_the_shape_where_a_running_product_underflows(self, p0):
+        # the step at a = 5.5, x = 2500 is 0 in double precision
+        data = counts_dataset(5, 3_000)
+        fi = crossing_matches(data, config_at(data, 2500.0, p0))
+        assert 2_300 < fi < 3_000
+
+    def test_not_attained(self):
+        data = counts_dataset(20, 3)
+        assert crossing_matches(data, config_at(data, 20.5 + 3 * math.sqrt(20.5), 0.7)) is None
+
+    def test_not_applicable(self):
+        data = counts_dataset(20, 30)
+        assert crossing_matches(data, config_at(data, 20.5 - 2 * math.sqrt(20.5), 0.7)) == "not_applicable"
+
+    def test_overflowing_posterior_rate_is_a_value_error(self):
+        with pytest.raises(ValueError, match="Gamma rate"):
+            crossing_fi(1, math.inf, 1, AnalysisConfig(t0=1.0))
 
 
 class TestFragilityQuotient:

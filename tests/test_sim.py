@@ -1,10 +1,34 @@
 import math
 import statistics
 
+import re
+
 import pytest
 
+from fragsurv import fragility
 from fragsurv.sim import SimSpec, SplitMix64, fi_distribution, simulate_trial, substream_seed
 from fragsurv.survival import LN2, AnalysisConfig, GammaParams, posterior_update
+
+from oracles import fi_histogram_reference
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer: the state whose output is z."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    return _unxorshift(z, 30)
 
 
 class TestSplitMix64:
@@ -145,3 +169,65 @@ class TestFiDistribution:
         spec = SimSpec(n=5, event_rate=0.5, seed=1)
         with pytest.raises(ValueError):
             fi_distribution(spec, AnalysisConfig(t0=1.0), 0)
+
+    def test_a_uniform_of_one_fails_both_paths_alike(self):
+        # uniform() rounds its top lattice point up to 1.0, where -ln(U) is -0.0
+        seed = (_unmix64((2**53 - 1) << 11) - _GOLDEN) & _MASK64
+        assert SplitMix64(seed).uniform() == 1.0
+        message = re.escape("observation time must be finite and > 0, got -0.0")
+        with pytest.raises(ValueError, match=message):
+            simulate_trial(SimSpec(n=3, event_rate=1.0, seed=seed))
+        spec = SimSpec(n=3, event_rate=1.0, seed=(_unmix64(seed) - _GOLDEN) & _MASK64)
+        assert substream_seed(spec.seed, 0) == seed
+        with pytest.raises(ValueError, match=message):
+            fi_distribution(spec, AnalysisConfig(t0=1.0), 2)
+
+    def test_at_most_two_and_a_half_kernel_calls_per_replication(self, monkeypatch):
+        # one kernel call per flip makes 2450 calls here
+        calls = 0
+        kernel = fragility.reg_lower_inc_gamma
+
+        def counting(a, x):
+            nonlocal calls
+            calls += 1
+            return kernel(a, x)
+
+        monkeypatch.setattr(fragility, "reg_lower_inc_gamma", counting)
+        spec = SimSpec(n=50, event_rate=0.1, censor_rate=0.05, seed=4242)
+        counts = fi_distribution(spec, AnalysisConfig(t0=5.0), 250)
+        assert sum(v for k, v in counts.items() if isinstance(k, int)) >= 100
+        assert calls <= 2.5 * 250
+
+
+_MEDIAN = LN2 / 0.2
+
+
+class TestFiDistributionEqualsReference:
+    """fi_distribution against one dataset and one fragility_index per replication."""
+
+    def test_all_censoring_modes_sizes_and_outcomes(self):
+        outcomes = set()
+        for censoring in ({}, {"censor_time": _MEDIAN}, {"censor_rate": 0.2}):
+            for n in (1, 2, 50, 300):
+                spec = SimSpec(n=n, event_rate=0.2, seed=1000 + n, **censoring)
+                reps = 40 if n == 300 else 120
+                for t0 in (0.6 * _MEDIAN, 0.8 * _MEDIAN, _MEDIAN):
+                    config = AnalysisConfig(t0=t0)
+                    counts = fi_distribution(spec, config, reps)
+                    assert counts == fi_histogram_reference(spec, config, reps), (censoring, n, t0)
+                    outcomes.update("fi" if isinstance(k, int) else k for k in counts)
+        assert outcomes == {"fi", "not_attained", "not_applicable"}
+
+    def test_overflowing_total_time_is_an_error(self):
+        # each draw is finite, but 500 of them at rate 1e-306 sum past the largest double
+        spec = SimSpec(n=500, event_rate=1e-306, seed=3)
+        config = AnalysisConfig(t0=1.0)
+        assert fi_distribution(spec, config, 3) == fi_histogram_reference(spec, config, 3) == {"error": 3}
+
+    @pytest.mark.parametrize("censoring", [{}, {"censor_time": _MEDIAN}, {"censor_rate": 0.2}])
+    def test_t0_that_overflows_x_is_never_attained(self, censoring):
+        # x = rate ln 2 / 1e-320 is inf, where P(a, inf) = 1 for every shape
+        spec = SimSpec(n=50, event_rate=0.2, seed=8, **censoring)
+        config = AnalysisConfig(t0=1e-320)
+        counts = fi_distribution(spec, config, 30)
+        assert counts == fi_histogram_reference(spec, config, 30) == {"not_attained": 30}

@@ -12,6 +12,7 @@ from fragsurv.specfun import (
     BracketError,
     ConvergenceError,
     bisect_root,
+    reg_gamma_shape_step,
     reg_lower_inc_gamma,
 )
 
@@ -142,6 +143,50 @@ class TestRegLowerIncGamma:
         p = reg_lower_inc_gamma(129.0, 1e-14)
         assert 0.0 <= p <= 1e-300
         assert abs(p - scipy_gammainc(129.0, 1e-14)) <= 5e-14
+
+
+class TestRegGammaShapeStep:
+    """P(a, x) - P(a + 1, x) = x^a e^{-x} / Gamma(a + 1)."""
+
+    def test_matches_scipy_difference_on_a_seeded_sweep(self):
+        rng = random.Random(20261018)
+        for _ in range(4000):
+            a = rng.uniform(0.1, 500.0)
+            x = rng.uniform(0.0, 1000.0)
+            expected = scipy_gammainc(a, x) - scipy_gammainc(a + 1.0, x)
+            assert abs(reg_gamma_shape_step(a, x) - expected) <= 5e-15, (a, x)
+
+    @pytest.mark.parametrize("a", [1e3, 1e5, 1e6])
+    @pytest.mark.parametrize("offset", [-5.0, -1.0, 0.0, 1.0, 5.0])
+    def test_large_shapes_match_scipy_near_the_mode(self, a, offset):
+        x = a + offset * math.sqrt(a)
+        expected = scipy_gammainc(a, x) - scipy_gammainc(a + 1.0, x)
+        assert abs(reg_gamma_shape_step(a, x) - expected) <= 5e-14
+
+    @pytest.mark.parametrize("a", [0.1, 1.0, 500.0, 1e6])
+    def test_zero_at_both_ends_of_x(self, a):
+        assert reg_gamma_shape_step(a, 0.0) == 0.0
+        assert reg_gamma_shape_step(a, math.inf) == 0.0
+
+    def test_each_step_is_formed_afresh_far_above_the_shape(self):
+        # a running product of x / (a + k) from a = 5.5 would stay at 0
+        assert reg_gamma_shape_step(5.5, 2500.0) == 0.0
+        assert reg_gamma_shape_step(2490.5, 2500.0) > 1e-3
+
+    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_domain_errors(self, a, x):
+        with pytest.raises(ValueError):
+            reg_gamma_shape_step(a, x)
+
+    def test_three_hundred_steps_reach_the_kernel(self):
+        rng = random.Random(20261019)
+        starts = [(rng.uniform(0.1, 500.0), rng.uniform(0.0, 1000.0)) for _ in range(100)]
+        starts += [(a, a + z * math.sqrt(a)) for a in (1e3, 1e5, 1e6) for z in (-3.0, 0.0, 3.0, 9.0)]
+        for a, x in starts:
+            p = reg_lower_inc_gamma(a, x)
+            for k in range(300):
+                p -= reg_gamma_shape_step(a + k, x)
+            assert abs(p - reg_lower_inc_gamma(a + 300, x)) <= 1e-12, (a, x)
 
 
 class TestBisectRoot:
