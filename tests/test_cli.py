@@ -465,14 +465,22 @@ class TestReproducePaper:
 class TestGoldenOutput:
     """Exact stdout recorded in tests/data; refactors must not move a byte.
 
-    Recorded in tests/data with `fragsurv fi demo.csv --t0 2 --with-km` and
-    `fragsurv reproduce-paper`.
+    Recorded in tests/data with `fragsurv fi demo.csv --t0 2 --with-km`,
+    `fragsurv sensitivity demo.csv --t0 2 --grid 'p0=0.3,0.7,0.99;prior_shape=0.5,-1'`
+    and `fragsurv reproduce-paper`.
     """
 
     def test_fi_with_km_on_the_demo_csv(self, monkeypatch, capsys):
         monkeypatch.chdir(DATA)
         assert main(["fi", "demo.csv", "--t0", "2", "--with-km"]) == EXIT_OK
         assert capsys.readouterr().out == (DATA / "fi_with_km.json").read_text(encoding="utf-8")
+
+    def test_sensitivity_on_the_demo_csv(self, monkeypatch, capsys):
+        # one cell each: not attained, ok, not applicable, and errors from a bad prior shape
+        monkeypatch.chdir(DATA)
+        grid = "p0=0.3,0.7,0.99;prior_shape=0.5,-1"
+        assert main(["sensitivity", "demo.csv", "--t0", "2", "--grid", grid]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "sensitivity.json").read_text(encoding="utf-8")
 
     def test_reproduce_paper(self, capsys):
         assert main(["reproduce-paper"]) == EXIT_NUMERICAL_ERROR
