@@ -574,6 +574,7 @@ def _cmd_km(args) -> int:
 
 
 def _parse_grid(spec: str) -> dict[str, list[float]]:
+    """'name=v1,v2,...;name=...' as a dict; sensitivity_scan checks the names and values."""
     axes: dict[str, list[float]] = {}
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -583,41 +584,32 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
             raise IngestError(f"--grid: expected name=v1,v2,... in {chunk!r}")
         name, _, values_text = chunk.partition("=")
         name = name.strip()
-        if name not in SENSITIVITY_AXES:
-            raise IngestError(
-                f"--grid: unknown axis {name!r}; expected one of {', '.join(SENSITIVITY_AXES)}"
-            )
         try:
-            values = [float(v) for v in values_text.split(",") if v.strip()]
+            axes[name] = [float(v) for v in values_text.split(",") if v.strip()]
         except ValueError:
             raise IngestError(f"--grid: invalid number in {chunk!r}") from None
-        if not values:
-            raise IngestError(f"--grid: axis {name!r} has no values")
-        axes[name] = values
-    if not axes:
-        raise IngestError("--grid: no axes given")
     return axes
 
 
 def _cmd_sensitivity(args) -> int:
     dataset = ingest_csv(args.csv, args.time_unit)
     base = _analysis_config(args)
-    grid = sensitivity_scan(dataset, base, _parse_grid(args.grid))
+    axes = _parse_grid(args.grid)
+    try:
+        grid = sensitivity_scan(dataset, base, axes)
+    except ValueError as exc:
+        raise IngestError(f"--grid: {exc}") from None
     cells = []
     for cell in grid.cells:
-        entry: dict = {"params": cell.params}
-        if cell.error is not None:
-            entry["status"] = "error"
+        entry: dict = {"params": cell.params, "status": cell.status}
+        if cell.status == "error":
             entry["error"] = cell.error
-        elif cell.not_applicable:
-            entry["status"] = "not_applicable"
-            entry["initial_probability"] = cell.initial_prob
         else:
-            entry["status"] = "ok"
             entry["initial_probability"] = cell.initial_prob
-            entry["fi"] = cell.result.fi
-            entry["fi_text"] = cell.result.fi_text
-            entry["fq"] = _fraction_json(cell.result.fq)
+        if cell.status == "ok":
+            entry["fi"] = cell.fi
+            entry["fi_text"] = str(cell.fi) if cell.fi is not None else f"> {dataset.num_censored}"
+            entry["fq"] = _fraction_json(None if cell.fi is None else Fraction(cell.fi, dataset.n))
         cells.append(entry)
     report = {
         "tool": {"name": _PROG, "version": __version__},

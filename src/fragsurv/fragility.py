@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .specfun import BracketError, ConvergenceError, bisect_root, reg_gamma_shape_step, reg_lower_inc_gamma
-from .survival import LN2, AnalysisConfig, GammaParams, SurvivalDataset, posterior_update
+from .survival import LN2, AnalysisConfig, GammaParams, SurvivalDataset
 
 __all__ = [
     "NotFragileApplicableError",
@@ -88,12 +88,12 @@ class FragilityResult:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One sensitivity-scan evaluation: parameters plus result or failure."""
+    """One sensitivity-scan cell: fi and initial_prob if "ok", initial_prob if "not_applicable", else error."""
 
     params: dict[str, float]
-    result: FragilityResult | None = None
-    not_applicable: bool = False
+    status: str
     initial_prob: float | None = None
+    fi: int | None = None
     error: str | None = None
 
 
@@ -101,6 +101,16 @@ class GridCell:
 class SensitivityGrid:
     axes: dict[str, tuple[float, ...]]
     cells: tuple[GridCell, ...]
+
+
+def _initial(events: int, total_time: float, config: AnalysisConfig) -> tuple[float, float]:
+    """(x, P(0)) of the posterior, x = rate ln 2 / t0; raises NotFragileApplicableError if P(0) <= p0."""
+    posterior = GammaParams(config.prior.shape + events, config.prior.rate + total_time)
+    x = posterior.rate * LN2 / config.t0
+    initial_prob = reg_lower_inc_gamma(posterior.shape, x)
+    if not initial_prob > config.p0:
+        raise NotFragileApplicableError(initial_prob, config.p0)
+    return x, initial_prob
 
 
 def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityResult:
@@ -115,11 +125,7 @@ def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityR
     Raises:
         NotFragileApplicableError: if the k = 0 probability is <= p0.
     """
-    posterior = posterior_update(config.prior, data)
-    x = posterior.rate * LN2 / config.t0
-    initial_prob = reg_lower_inc_gamma(posterior.shape, x)
-    if not initial_prob > config.p0:
-        raise NotFragileApplicableError(initial_prob, config.p0)
+    x, initial_prob = _initial(data.num_events, data.total_time, config)
     trajectory = [(0, initial_prob)]
     fi: int | None = None
     for k in range(1, data.num_censored + 1):
@@ -140,24 +146,21 @@ def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityR
     )
 
 
-def crossing_fi(events: int, total_time: float, censored: int, config: AnalysisConfig) -> int | None:
-    """fragility_index(data, config).fi from the data's sufficient statistics; raises as it does.
+def crossing_fi(events: int, total_time: float, censored: int, config: AnalysisConfig) -> tuple[float, int | None]:
+    """(initial_prob, fi) of fragility_index from the data's sufficient statistics; raises as it does.
 
     P steps down by the shape recurrence; the kernel gives P(0) and decides, with
     the same strict `<`, each k whose step value is within _WINDOW above p0."""
-    posterior = GammaParams(config.prior.shape + events, config.prior.rate + total_time)
-    x = posterior.rate * LN2 / config.t0
-    prob = reg_lower_inc_gamma(posterior.shape, x)
-    if not prob > config.p0:
-        raise NotFragileApplicableError(prob, config.p0)
+    x, initial_prob = _initial(events, total_time, config)
+    prob = initial_prob
     for k in range(1, censored + 1):
         # Shapes summed as fragility_index sums them.
         prob -= reg_gamma_shape_step(config.prior.shape + (events + k - 1), x)
         if not prob > config.p0 + _WINDOW:
             prob = reg_lower_inc_gamma(config.prior.shape + (events + k), x)
             if prob < config.p0:
-                return k
-    return None
+                return initial_prob, k
+    return initial_prob, None
 
 
 def fragility_quotient(fi: int, n: int) -> Fraction:
@@ -207,32 +210,33 @@ def sensitivity_scan(
     base: AnalysisConfig,
     axes: Mapping[str, Iterable[float]],
 ) -> SensitivityGrid:
-    """Fragility search over a Cartesian grid of analysis parameters.
+    """Fragility index over a Cartesian grid of analysis parameters.
 
-    Axis names: prior_shape, prior_rate, t0, p0. Per-cell failures
-    (inapplicability, numerical errors) are recorded in the cell instead of
-    aborting the scan; cell order is deterministic and independent of how
-    cells are evaluated.
+    Axis names: prior_shape, prior_rate, t0, p0; no axes, an unknown name or an
+    empty axis raise ValueError. Each cell runs `crossing_fi` on the dataset's
+    sufficient statistics and records its failure (inapplicability, a numerical
+    error, an invalid value) instead of aborting the scan; cell order is fixed.
     """
     if not axes:
-        raise ValueError("sensitivity_scan requires at least one axis")
+        raise ValueError("no axes given")
     for name in axes:
         if name not in SENSITIVITY_AXES:
-            raise ValueError(f"unknown axis {name!r}; expected one of {SENSITIVITY_AXES}")
+            raise ValueError(f"unknown axis {name!r}; expected one of {', '.join(SENSITIVITY_AXES)}")
     ordered = {name: tuple(float(v) for v in axes[name]) for name in SENSITIVITY_AXES if name in axes}
     for name, values in ordered.items():
         if not values:
             raise ValueError(f"axis {name!r} has no values")
 
+    stats = (data.num_events, data.total_time, data.num_censored)
     cells = []
     for combo in itertools.product(*ordered.values()):
         params = dict(zip(ordered.keys(), combo))
-        cells.append(_evaluate_cell(data, base, params))
+        cells.append(_evaluate_cell(stats, base, params))
     return SensitivityGrid(axes=ordered, cells=tuple(cells))
 
 
 def _evaluate_cell(
-    data: SurvivalDataset, base: AnalysisConfig, params: dict[str, float]
+    stats: tuple[int, float, int], base: AnalysisConfig, params: dict[str, float]
 ) -> GridCell:
     try:
         prior = GammaParams(
@@ -245,10 +249,9 @@ def _evaluate_cell(
             p0=params.get("p0", base.p0),
             prior=prior,
         )
-        result = fragility_index(data, config)
+        initial_prob, fi = crossing_fi(*stats, config)
     except NotFragileApplicableError as exc:
-        return GridCell(params=params, not_applicable=True, initial_prob=exc.initial_prob)
-    except (ConvergenceError, BracketError, ValueError) as exc:
-        return GridCell(params=params, error=str(exc))
-    return GridCell(params=params, result=result, initial_prob=result.initial_prob)
-
+        return GridCell(params, "not_applicable", initial_prob=exc.initial_prob)
+    except (ConvergenceError, ValueError) as exc:
+        return GridCell(params, "error", error=str(exc))
+    return GridCell(params, "ok", initial_prob=initial_prob, fi=fi)

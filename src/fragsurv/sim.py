@@ -127,7 +127,7 @@ def fi_distribution(
             events += event
             total_time += time
         try:
-            fi = crossing_fi(events, total_time, spec.n - events, config)
+            _, fi = crossing_fi(events, total_time, spec.n - events, config)
         except NotFragileApplicableError:
             counts["not_applicable"] += 1
         except (ConvergenceError, ValueError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc as scipy_gammainc
 from scipy.special import gammaincinv as scipy_gammaincinv
 
+from fragsurv import fragility
 from fragsurv.fragility import (
     NotFragileApplicableError,
     calibrate,
@@ -159,15 +160,16 @@ def kernel_trajectory(data, config):
 
 def crossing_matches(data, config):
     """crossing_fi on the statistics against fragility_index on the data."""
+    stats = (data.num_events, data.total_time, data.num_censored)
     try:
-        expected = fragility_index(data, config).fi
+        expected = fragility_index(data, config)
     except NotFragileApplicableError as exc:
         with pytest.raises(NotFragileApplicableError) as excinfo:
-            crossing_fi(data.num_events, data.total_time, data.num_censored, config)
+            crossing_fi(*stats, config)
         assert excinfo.value.initial_prob == exc.initial_prob
         return "not_applicable"
-    assert crossing_fi(data.num_events, data.total_time, data.num_censored, config) == expected
-    return expected
+    assert crossing_fi(*stats, config) == (expected.initial_prob, expected.fi)
+    return expected.fi
 
 
 class TestCrossingFi:
@@ -348,8 +350,7 @@ class TestSensitivityScan:
         assert len(grid.cells) == 1
         cell = grid.cells[0]
         direct = fragility_index(data, base)
-        assert cell.result.fi == direct.fi
-        assert cell.result.trajectory == direct.trajectory
+        assert (cell.status, cell.fi, cell.initial_prob) == ("ok", direct.fi, direct.initial_prob)
 
     def test_p0_axis_weakly_decreasing_fi(self):
         rng = random.Random(9001)
@@ -361,15 +362,15 @@ class TestSensitivityScan:
             last_fi = None
             for cell in grid.cells:
                 expected = exhaustive_fi(data, AnalysisConfig(t0=base.t0, p0=cell.params["p0"], prior=base.prior))
-                if cell.not_applicable:
+                if cell.status == "not_applicable":
                     assert expected == "not_applicable"
                     continue
-                got = cell.result.fi if cell.result.attained else "not_attained"
-                assert got == expected
-                if cell.result.attained:
+                assert cell.status == "ok"
+                assert (cell.fi if cell.fi is not None else "not_attained") == expected
+                if cell.fi is not None:
                     if last_fi is not None:
-                        assert cell.result.fi <= last_fi
-                    last_fi = cell.result.fi
+                        assert cell.fi <= last_fi
+                    last_fi = cell.fi
 
     def test_t0_axis_strictly_decreasing_initial_prob(self):
         data = ds((2.0, 0), (5.0, 0), (8.0, 1), (12.0, 1), (20.0, 1))
@@ -383,8 +384,8 @@ class TestSensitivityScan:
         data = ds((2.0, 0), (5.0, 0), (8.0, 1), (12.0, 1), (20.0, 1))
         base = AnalysisConfig(t0=4.0)
         grid = sensitivity_scan(data, base, {"t0": [4.0, 500.0]})
-        assert grid.cells[0].result is not None
-        assert grid.cells[1].not_applicable
+        assert grid.cells[0].status == "ok"
+        assert grid.cells[1].status == "not_applicable"
         assert grid.cells[1].initial_prob is not None
 
     def test_invalid_cell_value_recorded_as_error(self):
@@ -392,7 +393,26 @@ class TestSensitivityScan:
         base = AnalysisConfig(t0=4.0)
         grid = sensitivity_scan(data, base, {"prior_shape": [0.5, -1.0]})
         assert grid.cells[0].error is None
-        assert grid.cells[1].error is not None
+        assert grid.cells[1].status == "error"
+        assert grid.cells[1].error == "Gamma shape must be finite and > 0, got -1.0"
+
+    def test_at_most_three_kernel_calls_per_cell(self, monkeypatch):
+        # one kernel call per flip makes 110 calls here
+        calls = 0
+        kernel = fragility.reg_lower_inc_gamma
+
+        def counting(a, x):
+            nonlocal calls
+            calls += 1
+            return kernel(a, x)
+
+        monkeypatch.setattr(fragility, "reg_lower_inc_gamma", counting)
+        data = counts_dataset(20, 200)
+        base = config_at(data, 20.5 + 3 * math.sqrt(20.5), 0.7)
+        grid = sensitivity_scan(data, base, {"p0": [0.6, 0.7, 0.8], "prior_shape": [0.25, 0.5, 1.0]})
+        assert [cell.status for cell in grid.cells] == ["ok"] * 9
+        assert all(isinstance(cell.fi, int) for cell in grid.cells)
+        assert calls <= 3 * len(grid.cells)
 
     def test_axis_validation(self):
         data = ds((2.0, 0), (8.0, 1))
