@@ -507,13 +507,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analysis_config(args) -> AnalysisConfig:
+def _analysis_config(args, dataset: SurvivalDataset | None = None) -> AnalysisConfig:
+    """The config of the flags; given a dataset, its posterior rate must not overflow either."""
     try:
-        return AnalysisConfig(
+        config = AnalysisConfig(
             t0=args.t0, p0=args.p0, prior=GammaParams(args.prior_shape, args.prior_rate)
         )
     except ValueError as exc:
         raise IngestError(str(exc)) from None
+    if dataset is not None and math.isinf(config.prior.rate + dataset.total_time):
+        raise IngestError(f"--prior-rate {config.prior.rate!r} plus the total follow-up time overflows")
+    return config
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -529,7 +533,7 @@ def _render(report: dict, fmt: str) -> str:
 
 def _cmd_analyze(args) -> int:
     dataset = ingest_csv(args.csv, args.time_unit)
-    config = _analysis_config(args)
+    config = _analysis_config(args, dataset)
     km = _km_json(dataset) if args.with_km else None
     initial_prob = posterior_prob_median_exceeds(posterior_update(config.prior, dataset), config.t0)
     report = build_report(dataset, config, args.csv, initial_prob, fragility=None, km=km)
@@ -539,7 +543,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_fi(args) -> int:
     dataset = ingest_csv(args.csv, args.time_unit)
-    config = _analysis_config(args)
+    config = _analysis_config(args, dataset)
     km = _km_json(dataset) if args.with_km else None
     not_applicable = None
     try:
@@ -584,6 +588,8 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
             raise IngestError(f"--grid: expected name=v1,v2,... in {chunk!r}")
         name, _, values_text = chunk.partition("=")
         name = name.strip()
+        if name in axes:
+            raise IngestError(f"--grid: axis {name!r} given twice")
         try:
             axes[name] = [float(v) for v in values_text.split(",") if v.strip()]
         except ValueError:

@@ -20,6 +20,7 @@ __all__ = ["SplitMix64", "SimSpec", "simulate_trial", "fi_distribution"]
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _LARGEST_LOG_DRAW = -math.log(2.0**-54)  # uniform() is never below 2^-54
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _mix64(z: int) -> int:
@@ -41,8 +42,9 @@ class SplitMix64:
         return _mix64(self._state)
 
     def uniform(self) -> float:
-        # 53-bit mantissa, offset by half a lattice step: never exactly 0 or 1.
-        return ((self.next_uint64() >> 11) + 0.5) * 2.0**-53
+        # 53-bit mantissa, offset by half a lattice step: never 0; the top point rounds to 1.0.
+        u = ((self.next_uint64() >> 11) + 0.5) * 2.0**-53
+        return u if u < 1.0 else _BELOW_ONE
 
 
 def substream_seed(seed: int, index: int) -> int:

@@ -127,6 +127,16 @@ class TestIngestCsv:
         assert captured.out == ""
         assert captured.err == f"fragsurv: input-error: {path}: total follow-up time overflows\n"
 
+    @pytest.mark.parametrize("command", ["fi", "analyze"])
+    def test_prior_rate_that_overflows_the_posterior_is_input_error(self, tmp_path, capsys, command):
+        # the rows sum to 1e308; the prior rate takes the posterior rate to inf
+        path = tmp_path / "pr.csv"
+        path.write_text("time,status\n5e307,1\n5e307,0\n", encoding="utf-8")
+        assert main([command, str(path), "--t0", "1", "--prior-rate", "1e308"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fragsurv: input-error: --prior-rate 1e+308 plus the total follow-up time overflows\n"
+
     def test_roundtrip_simulated_dataset(self, tmp_path):
         data = simulate_trial(SimSpec(n=40, event_rate=0.3, censor_rate=0.1, seed=123))
         path = tmp_path / "sim.csv"
@@ -357,6 +367,29 @@ class TestSensitivityCommand:
     def test_bad_grid_is_input_error(self, demo_csv, capsys):
         assert main(["sensitivity", demo_csv, "--t0", "2", "--grid", "nope=1"]) == EXIT_INPUT_ERROR
         assert "input-error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid,message", [
+        ("nope=1", "unknown axis 'nope'; expected one of prior_shape, prior_rate, t0, p0"),
+        ("p0=", "axis 'p0' has no values"),
+        (";", "no axes given"),
+        ("p0", "expected name=v1,v2,... in 'p0'"),
+        ("p0=0.6,x", "invalid number in 'p0=0.6,x'"),
+        ("p0=0.6;p0=0.7,0.8", "axis 'p0' given twice"),
+    ], ids=["unknown", "empty", "none", "no-equals", "not-a-number", "repeated"])
+    def test_grid_error_message(self, demo_csv, capsys, grid, message):
+        assert main(["sensitivity", demo_csv, "--t0", "2", "--grid", grid]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fragsurv: input-error: --grid: {message}\n"
+
+    def test_prior_rate_that_overflows_the_posterior_is_a_cell_error(self, tmp_path, capsys):
+        path = tmp_path / "pr.csv"
+        path.write_text("time,status\n5e307,1\n5e307,0\n", encoding="utf-8")
+        argv = ["sensitivity", str(path), "--t0", "1", "--prior-rate", "1e308", "--grid", "p0=0.5"]
+        assert main(argv) == EXIT_OK
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        error = "Gamma rate must be finite and > 0, got inf"
+        assert cell == {"params": {"p0": 0.5}, "status": "error", "error": error}
 
 
 class TestSimulateCommand:
