@@ -164,11 +164,11 @@ def build_report(
     dataset: SurvivalDataset,
     config: AnalysisConfig,
     path: str | Path,
+    posterior: GammaParams,
     initial_prob: float,
     fragility: dict | None,
     km: dict | None = None,
 ) -> dict:
-    posterior = posterior_update(config.prior, dataset)
     return {
         "tool": {"name": _PROG, "version": __version__},
         "input": {
@@ -245,6 +245,8 @@ def render_km_svg(
     Data coordinates map linearly onto the plot area:
     x_px = left + (t / t_max) * plot_width, y_px = top + (1 - s) * plot_height.
     """
+    from html import escape  # imported here: it loads html.entities, which only km needs
+
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     t_max = max(x for x, _ in points)
@@ -281,7 +283,7 @@ def render_km_svg(
 
     e.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.3f}" y="{_SVG_HEIGHT - 12:.3f}" '
-        f'font-size="13" text-anchor="middle">Time ({time_unit})</text>'
+        f'font-size="13" text-anchor="middle">Time ({escape(time_unit, quote=False)})</text>'
     )
     e.append(
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.3f}" font-size="13" text-anchor="middle" '
@@ -321,24 +323,10 @@ class CaseStudy:
 
 CASE_STUDIES = (
     CaseStudy("lung-cancer", "Advanced lung cancer, overall survival", 30, 22, 7.0, 0.935, 5),
-    CaseStudy(
-        "pembrolizumab-hcc",
-        "Pembrolizumab in hepatocellular carcinoma, progression-free survival",
-        28,
-        20,
-        3.5,
-        0.958,
-        6,
-    ),
-    CaseStudy(
-        "palbociclib-breast",
-        "Palbociclib in metastatic breast cancer, progression-free survival",
-        51,
-        31,
-        15.0,
-        0.948,
-        6,
-    ),
+    CaseStudy("pembrolizumab-hcc", "Pembrolizumab in hepatocellular carcinoma, progression-free survival",
+              28, 20, 3.5, 0.958, 6),
+    CaseStudy("palbociclib-breast", "Palbociclib in metastatic breast cancer, progression-free survival",
+              51, 31, 15.0, 0.948, 6),
 )
 
 _CASE_PRIOR = GammaParams(0.5, 0.5)
@@ -426,12 +414,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _add_config_flags(parser: argparse.ArgumentParser, require_t0: bool = True) -> None:
     parser.add_argument("--prior-shape", type=float, default=0.5, help="Gamma prior shape (default 0.5)")
     parser.add_argument("--prior-rate", type=float, default=0.5, help="Gamma prior rate (default 0.5)")
-    parser.add_argument(
-        "--t0",
-        type=float,
-        required=require_t0,
-        help="median survival threshold, in the dataset's time unit (required)",
-    )
+    parser.add_argument("--t0", type=float, required=require_t0,
+                        help="median survival threshold, in the dataset's time unit (required)")
     parser.add_argument("--p0", type=float, default=0.7, help="confidence level (default 0.7)")
 
 
@@ -440,79 +424,48 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog=_PROG,
-        description="Bayesian fragility index for single-arm time-to-event trials "
-        "(exponential model, conjugate Gamma prior).",
-    )
-    parser.add_argument("--version", action="version", version=f"{_PROG} {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("csv", help="input CSV with header time,status")
+    parser.add_argument("--time-unit", default="months", help="time unit label (default months)")
 
-    for name, handler, help_text in (
-        ("analyze", _cmd_analyze, "posterior and exceedance probability, no fragility search"),
-        ("fi", _cmd_fi, "full fragility-index report"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("csv", help="input CSV with header time,status")
-        p.add_argument("--time-unit", default="months", help="time unit label (default months)")
-        _add_config_flags(p)
-        p.add_argument("--with-km", action="store_true", help="embed the Kaplan-Meier summary")
-        _add_output_flags(p)
-        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("km", help="Kaplan-Meier staircase as SVG")
-    p.add_argument("csv", help="input CSV with header time,status")
-    p.add_argument("--time-unit", default="months", help="time unit label (default months)")
-    p.add_argument("--out", help="write the SVG to this file instead of stdout")
-    p.add_argument("--points-out", help="also write the staircase points as JSON")
-    p.set_defaults(handler=_cmd_km)
+def _add_report_args(parser: argparse.ArgumentParser) -> None:
+    _add_csv_flags(parser)
+    _add_config_flags(parser)
+    parser.add_argument("--with-km", action="store_true", help="embed the Kaplan-Meier summary")
+    _add_output_flags(parser)
 
-    p = sub.add_parser("sensitivity", help="fragility index over a parameter grid")
-    p.add_argument("csv", help="input CSV with header time,status")
-    p.add_argument("--time-unit", default="months", help="time unit label (default months)")
-    _add_config_flags(p)
-    p.add_argument(
-        "--grid",
-        required=True,
-        help="axes as 'name=v1,v2,...;name=...' with names among "
-        + ", ".join(SENSITIVITY_AXES),
-    )
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_sensitivity)
 
-    p = sub.add_parser("simulate", help="generate a synthetic trial, or a fragility histogram")
-    p.add_argument("--n", type=int, required=True, help="number of subjects")
-    p.add_argument("--rate", type=float, required=True, help="true event rate")
-    p.add_argument("--censor-time", type=float, help="administrative censoring cutoff")
-    p.add_argument("--censor-rate", type=float, help="independent exponential censoring rate")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    p.add_argument(
-        "--replications",
-        type=int,
-        default=0,
-        help="if > 0, run this many replications through the fragility search "
-        "and emit a histogram (requires --t0)",
-    )
-    _add_config_flags(p, require_t0=False)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_simulate)
+def _add_km_args(parser: argparse.ArgumentParser) -> None:
+    _add_csv_flags(parser)
+    parser.add_argument("--out", help="write the SVG to this file instead of stdout")
+    parser.add_argument("--points-out", help="also write the staircase points as JSON")
 
-    p = sub.add_parser(
-        "reproduce-paper", help="re-run the three bundled case studies against published values"
-    )
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_reproduce)
 
-    return parser
+def _add_sensitivity_args(parser: argparse.ArgumentParser) -> None:
+    _add_csv_flags(parser)
+    _add_config_flags(parser)
+    parser.add_argument("--grid", required=True, help="axes as 'name=v1,v2,...;name=...' with names among "
+                        + ", ".join(SENSITIVITY_AXES))
+    _add_output_flags(parser)
+
+
+def _add_simulate_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True, help="number of subjects")
+    parser.add_argument("--rate", type=float, required=True, help="true event rate")
+    parser.add_argument("--censor-time", type=float, help="administrative censoring cutoff")
+    parser.add_argument("--censor-rate", type=float, help="independent exponential censoring rate")
+    parser.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    parser.add_argument("--replications", type=int, default=0, help="if > 0, run this many replications "
+                        "through the fragility search and emit a histogram (requires --t0)")
+    _add_config_flags(parser, require_t0=False)
+    _add_output_flags(parser)
 
 
 def _analysis_config(args, dataset: SurvivalDataset | None = None) -> AnalysisConfig:
     """The config of the flags; given a dataset, its posterior rate must not overflow either."""
     try:
-        config = AnalysisConfig(
-            t0=args.t0, p0=args.p0, prior=GammaParams(args.prior_shape, args.prior_rate)
-        )
+        config = AnalysisConfig(t0=args.t0, p0=args.p0, prior=GammaParams(args.prior_shape, args.prior_rate))
     except ValueError as exc:
         raise IngestError(str(exc)) from None
     if dataset is not None and math.isinf(config.prior.rate + dataset.total_time):
@@ -535,8 +488,9 @@ def _cmd_analyze(args) -> int:
     dataset = ingest_csv(args.csv, args.time_unit)
     config = _analysis_config(args, dataset)
     km = _km_json(dataset) if args.with_km else None
-    initial_prob = posterior_prob_median_exceeds(posterior_update(config.prior, dataset), config.t0)
-    report = build_report(dataset, config, args.csv, initial_prob, fragility=None, km=km)
+    posterior = posterior_update(config.prior, dataset)
+    initial_prob = posterior_prob_median_exceeds(posterior, config.t0)
+    report = build_report(dataset, config, args.csv, posterior, initial_prob, fragility=None, km=km)
     _emit(_render(report, args.format), args.out)
     return EXIT_OK
 
@@ -551,7 +505,8 @@ def _cmd_fi(args) -> int:
         initial_prob, fragility = result.initial_prob, _fragility_json(result)
     except NotFragileApplicableError as exc:
         initial_prob, fragility, not_applicable = exc.initial_prob, {"applicable": False}, exc
-    report = build_report(dataset, config, args.csv, initial_prob, fragility=fragility, km=km)
+    posterior = posterior_update(config.prior, dataset)
+    report = build_report(dataset, config, args.csv, posterior, initial_prob, fragility=fragility, km=km)
     _emit(_render(report, args.format), args.out)
     if not_applicable is None:
         return EXIT_OK
@@ -639,6 +594,8 @@ def _cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise IngestError(str(exc)) from None
+    if args.replications < 0:
+        raise IngestError(f"--replications must be >= 0, got {args.replications}")
     if args.replications > 0:
         if args.t0 is None:
             raise IngestError("--replications requires --t0")
@@ -672,14 +629,47 @@ def _cmd_reproduce(args) -> int:
     return EXIT_NUMERICAL_ERROR if mismatches else EXIT_OK
 
 
+# name: (help, function adding its arguments, handler), in the order of the top-level help
+_COMMANDS = {
+    "analyze": ("posterior and exceedance probability, no fragility search", _add_report_args, _cmd_analyze),
+    "fi": ("full fragility-index report", _add_report_args, _cmd_fi),
+    "km": ("Kaplan-Meier staircase as SVG", _add_km_args, _cmd_km),
+    "sensitivity": ("fragility index over a parameter grid", _add_sensitivity_args, _cmd_sensitivity),
+    "simulate": ("generate a synthetic trial, or a fragility histogram", _add_simulate_args, _cmd_simulate),
+    "reproduce-paper": ("re-run the three bundled case studies against published values",
+                        _add_output_flags, _cmd_reproduce),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given a command name, of that one alone.
+
+    The top-level usage names no command, so both print the same bytes for an argv starting with it.
+    """
+    parser = _ArgumentParser(
+        prog=_PROG,
+        description="Bayesian fragility index for single-arm time-to-event trials "
+        "(exponential model, conjugate Gamma prior).",
+    )
+    parser.add_argument("--version", action="version", version=f"{_PROG} {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Help, the version and top-level errors need the full parser; a command only its own.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _, _, handler = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except (IngestError, OSError) as exc:
         sys.stderr.write(f"{_PROG}: input-error: {exc}\n")
         return EXIT_INPUT_ERROR

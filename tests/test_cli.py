@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from scipy.special import gammainc as scipy_gammainc
@@ -27,6 +29,7 @@ from fragsurv.sim import SimSpec, simulate_trial
 
 
 DATA = Path(__file__).parent / "data"
+HELP = DATA / "help"
 
 
 @pytest.fixture
@@ -287,6 +290,14 @@ class TestAnalyzeCommand:
         assert main(["analyze", demo_csv, "--t0", "1e-320"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["initial_probability"] == 1.0
 
+    @pytest.mark.parametrize("command", ["analyze", "fi"])
+    def test_posterior_computed_once_per_report(self, demo_csv, monkeypatch, capsys, command):
+        calls = []
+        update = cli.posterior_update
+        monkeypatch.setattr(cli, "posterior_update", lambda prior, data: calls.append(1) or update(prior, data))
+        assert main([command, demo_csv, "--t0", "2"]) == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestKmCommand:
     def test_svg_structure_matches_plot_points(self, demo_csv, tmp_path, capsys):
@@ -318,6 +329,16 @@ class TestKmCommand:
     def test_time_unit_flag_reaches_axis_label(self, demo_csv, capsys):
         main(["km", demo_csv, "--time-unit", "weeks"])
         assert "Time (weeks)" in capsys.readouterr().out
+
+    def test_axis_label_is_escaped_in_the_svg_only(self, demo_csv, capsys):
+        unit = "a<b & c"
+        assert main(["km", demo_csv, "--time-unit", unit]) == EXIT_OK
+        svg = minidom.parseString(capsys.readouterr().out)
+        assert f"Time ({unit})" in [e.firstChild.data for e in svg.getElementsByTagName("text")]
+        assert main(["analyze", demo_csv, "--t0", "2", "--time-unit", unit]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["input"]["time_unit"] == unit
+        assert main(["analyze", demo_csv, "--t0", "2", "--time-unit", unit, "--format", "text"]) == EXIT_OK
+        assert f"input.time_unit: {unit}\n" in capsys.readouterr().out
 
     def test_all_censored_flat_polyline(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -422,6 +443,12 @@ class TestSimulateCommand:
         report = json.loads(capsys.readouterr().out)
         assert sum(report["counts"].values()) == 30
 
+    def test_negative_replications_is_input_error(self, capsys):
+        assert main(["simulate", "--n", "5", "--rate", "1", "--replications", "-3"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fragsurv: input-error: --replications must be >= 0, got -3\n"
+
     def test_histogram_requires_t0(self, capsys):
         code = main(["simulate", "--n", "15", "--rate", "0.2", "--replications", "5"])
         assert code == EXIT_INPUT_ERROR
@@ -518,6 +545,97 @@ class TestGoldenOutput:
     def test_reproduce_paper(self, capsys):
         assert main(["reproduce-paper"]) == EXIT_NUMERICAL_ERROR
         assert capsys.readouterr().out == (DATA / "reproduce_paper.json").read_text(encoding="utf-8")
+
+
+def _pinned(name: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr pinned in tests/data/help/<name>.txt.
+
+    Written by `tools/bytecheck.py pin-help`: `exit N`, then `stdout B` and
+    B bytes, then `stderr B` and B bytes.
+    """
+    head, _, rest = (HELP / f"{name}.txt").read_bytes().partition(b"\n")
+    code = int(head.removeprefix(b"exit "))
+    streams = []
+    for label in (b"stdout ", b"stderr "):
+        head, _, rest = rest.partition(b"\n")
+        size = int(head.removeprefix(label))
+        streams.append(rest[:size].decode())
+        rest = rest[size:]
+    assert rest == b""
+    return code, streams[0], streams[1]
+
+
+# The command argvs this module runs through main, with placeholder paths.
+COMMAND_ARGVS = [
+    ["fi", "d.csv", "--t0", "2"],
+    ["fi", "d.csv", "--t0", "2", "--p0", "0.99"],
+    ["fi", "d.csv", "--t0", "-1"],
+    ["fi", "d.csv", "--t0", "2", "--with-km"],
+    ["fi", "d.csv", "--t0", "2", "--bogus"],
+    ["fi", "d.csv", "--t0", "2", "--format", "text"],
+    ["fi", "d.csv", "--t0", "2", "--out", "report.json"],
+    ["fi", "d.csv", "--t0", "1e-320"],
+    ["fi", "d.csv", "--t0", "1", "--prior-rate", "1e308"],
+    ["fi", "d.csv", "--t0", "7"],
+    ["analyze", "d.csv", "--t0", "1"],
+    ["analyze", "d.csv", "--t0", "2"],
+    ["analyze", "d.csv", "--t0", "1", "--prior-rate", "1e308"],
+    ["analyze", "d.csv", "--t0", "30", "--with-km"],
+    ["analyze", "d.csv", "--t0", "50"],
+    ["analyze", "d.csv", "--t0", "2", "--time-unit", "a<b & c", "--format", "text"],
+    ["km", "d.csv", "--points-out", "points.json"],
+    ["km", "d.csv", "--time-unit", "weeks"],
+    ["km", "d.csv"],
+    ["km", "d.csv", "--out", "curve.svg"],
+    ["km", "d.csv", "--time-unit", "a<b & c"],
+    ["sensitivity", "d.csv", "--t0", "2", "--grid", "p0=0.6,0.7,0.8"],
+    ["sensitivity", "d.csv", "--t0", "2", "--grid", "p0=0.6,0.8;t0=1,2"],
+    ["sensitivity", "d.csv", "--t0", "2", "--grid", "p0=0.6;p0=0.7,0.8"],
+    ["sensitivity", "d.csv", "--t0", "2", "--grid", "nope=1"],
+    ["sensitivity", "d.csv", "--t0", "2", "--grid", "p0=0.3,0.7,0.99;prior_shape=0.5,-1"],
+    ["sensitivity", "d.csv", "--t0", "1", "--prior-rate", "1e308", "--grid", "p0=0.5"],
+    ["simulate", "--n", "25", "--rate", "0.3", "--censor-rate", "0.1", "--seed", "9", "--out", "sim.csv"],
+    ["simulate", "--n", "10", "--rate", "0.5", "--seed", "4"],
+    ["simulate", "--n", "30", "--rate", "0.3", "--censor-time", "4", "--seed", "2"],
+    ["simulate", "--n", "15", "--rate", "0.2", "--censor-rate", "0.2", "--seed", "9",
+     "--replications", "30", "--t0", "3"],
+    ["simulate", "--n", "15", "--rate", "0.2", "--replications", "5"],
+    ["simulate", "--n", "5", "--rate", "1", "--replications", "-3"],
+    ["simulate", "--n", "5", "--rate", "0.2", "--censor-time", "1", "--censor-rate", "1"],
+    ["simulate", "--n", "5", "--rate", "1", "--rate", "1e-320"],
+    ["simulate", "--n", "5", "--rate", "1", "--censor-rate", "1e-320"],
+    ["reproduce-paper"],
+]
+
+
+class TestArgumentParsing:
+    """main builds only the invoked command's parser; what it prints must not change."""
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="argparse wraps help and usage differently from Python 3.13 on")
+    @pytest.mark.parametrize("case", json.loads((HELP / "cases.json").read_text()), ids=lambda c: c["name"])
+    def test_help_usage_and_version_bytes(self, case, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = _pinned(case["name"])
+        assert main(case["argv"]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=" ".join)
+    def test_one_command_parser_parses_as_the_full_parser(self, argv, capsys):
+        def parse(parser):
+            try:
+                result = parser.parse_args(argv)
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser())
+
+    @pytest.mark.parametrize("command", ["analyze", "fi", "km", "sensitivity", "simulate", "reproduce-paper"])
+    def test_one_command_parser_holds_that_command_alone(self, command):
+        (sub,) = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [command]
 
 
 class TestEndToEnd:

@@ -3,6 +3,7 @@
 
     PYTHONPATH=<tree>/src python3 tools/bytecheck.py run --seed 1 --work DIR --json A.json
     python3 tools/bytecheck.py compare A.json B.json
+    PYTHONPATH=<tree>/src python3 tools/bytecheck.py pin-help
 
 `run` builds the ops of the three benchmark workloads (bench/workloads.py)
 under DIR, calls `fragsurv.cli.main(argv)` in-process for each, and records
@@ -11,6 +12,13 @@ runs with the same DIR see the same paths, so their records compare byte for
 byte. Each output file also gets a second digest with the `survival_exact`
 lines of a JSON KM block removed, so `compare` can tell an op whose only
 change is that field from any other difference.
+
+`run` then calls `main` on each argv of tests/data/help/cases.json (help,
+usage errors and the version), which the benchmark never runs, with
+COLUMNS=80 so that argparse wraps its text the same way in any terminal.
+`pin-help` writes what those argvs give into tests/data/help/<name>.txt,
+which tests/test_cli.py replays: `exit N`, then `stdout B` and B bytes of
+stdout, then `stderr B` and B bytes of stderr.
 
 `run` also keeps what each op emitted, under A.kept/<op index>/ next to the
 record. `compare` parses every stream or file that differs: JSON as a tree,
@@ -29,11 +37,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "bench"))
+HELP = _ROOT / "tests" / "data" / "help"
 
 import workloads  # noqa: E402
 
@@ -49,32 +60,58 @@ def _without_exact(data: bytes) -> bytes:
     return b"\n".join(line for line in data.split(b"\n") if b'"survival_exact": ' not in line)
 
 
-def run(seed: int, work: Path, keep: Path) -> list[dict]:
+def _call_main(argv: list[str]) -> tuple[int, bytes, bytes]:
     from fragsurv.cli import main
 
-    print(f"fragsurv from {sys.modules['fragsurv'].__file__}", file=sys.stderr)
-    records = []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def _help_cases() -> list[dict]:
+    return json.loads((HELP / "cases.json").read_text())
+
+
+def pin_help() -> None:
+    for case in _help_cases():
+        code, out, err = _call_main(case["argv"])
+        data = b"exit %d\nstdout %d\n%sstderr %d\n%s" % (code, len(out), out, len(err), err)
+        (HELP / f"{case['name']}.txt").write_bytes(data)
+
+
+def _ops(seed: int, work: Path):
+    """(workload, label, argv, output paths) of every benchmark op, then of every help case."""
     for name in workloads.WORKLOADS:
         load = workloads.build(name, seed, work / "inputs" / name, work / "out" / name)
         for op in load.ops:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(list(op.argv))
-            emitted = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
-            files = {}
-            for path in op.outputs:
-                p = Path(path)
-                data = p.read_bytes() if p.exists() else b""
-                files[p.name] = [_sha(data), _sha(_without_exact(data))]
-                emitted[p.name] = data
-                p.unlink(missing_ok=True)
-            kept = keep.resolve() / str(len(records))
-            kept.mkdir(parents=True, exist_ok=True)
-            for stream, data in emitted.items():
-                (kept / stream).write_bytes(data)
-            records.append({"workload": name, "op": op.label(), "exit": code,
-                            "stdout": _sha(emitted["stdout"]), "stderr": _sha(emitted["stderr"]),
-                            "files": files, "kept": str(kept)})
+            yield name, op.label(), list(op.argv), op.outputs
+    for case in _help_cases():
+        yield "help", " ".join(["fragsurv", *case["argv"]]), case["argv"], ()
+
+
+def run(seed: int, work: Path, keep: Path) -> list[dict]:
+    import fragsurv
+
+    print(f"fragsurv from {fragsurv.__file__}", file=sys.stderr)
+    records = []
+    for name, label, argv, outputs in _ops(seed, work):
+        code, out, err = _call_main(argv)
+        emitted = {"stdout": out, "stderr": err}
+        files = {}
+        for path in outputs:
+            p = Path(path)
+            data = p.read_bytes() if p.exists() else b""
+            files[p.name] = [_sha(data), _sha(_without_exact(data))]
+            emitted[p.name] = data
+            p.unlink(missing_ok=True)
+        kept = keep.resolve() / str(len(records))
+        kept.mkdir(parents=True, exist_ok=True)
+        for stream, data in emitted.items():
+            (kept / stream).write_bytes(data)
+        records.append({"workload": name, "op": label, "exit": code,
+                        "stdout": _sha(out), "stderr": _sha(err),
+                        "files": files, "kept": str(kept)})
     return records
 
 
@@ -198,7 +235,12 @@ def _main() -> int:
     p = sub.add_parser("compare")
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
+    sub.add_parser("pin-help")
     args = parser.parse_args()
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
+    if args.cmd == "pin-help":
+        pin_help()
+        return 0
     if args.cmd == "run":
         records = run(args.seed, args.work, args.json.with_suffix(".kept"))
         args.json.write_text(json.dumps(records, indent=1) + "\n")
