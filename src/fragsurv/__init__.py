@@ -29,7 +29,6 @@ from .specfun import (
 from .survival import (
     AnalysisConfig,
     GammaParams,
-    Observation,
     SurvivalDataset,
     log_likelihood,
     posterior_prob_median_exceeds,
@@ -47,7 +46,6 @@ __all__ = [
     "KMCurve",
     "KMStep",
     "NotFragileApplicableError",
-    "Observation",
     "SensitivityGrid",
     "SimSpec",
     "SplitMix64",

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .fragility import (
 )
 from .km import km_estimate, km_to_plot_points
 from .sim import SimSpec, fi_distribution, simulate_trial
-from .specfun import BracketError, ConvergenceError
+from .specfun import MAX_SHAPE, BracketError, ConvergenceError
 from .survival import (
     AnalysisConfig,
     GammaParams,
@@ -50,18 +51,21 @@ class IngestError(ValueError):
     """Bad input: a CSV that does not parse into a survival dataset, or an invalid flag value."""
 
 
-def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
-    """Read a `time,status` CSV (UTF-8, LF or CRLF) into a dataset.
+def ingest_csv(path: str | Path, time_unit: str = "months") -> tuple[SurvivalDataset, str]:
+    """Read a `time,status` CSV (UTF-8, LF or CRLF) into a dataset and the sha256 of its bytes.
 
-    The header must be exactly `time,status` (case-insensitive). Every data
-    row must carry a positive finite time and a status of 0 or 1; the first
-    offending row is reported by number. The total time must not overflow.
+    Read once, so a pipe or FIFO gets the digest of the bytes it delivered. The
+    header must be exactly `time,status` (case-insensitive). Every data row must
+    carry a positive finite time and a status of 0 or 1; the first offending row
+    is reported by number. The total time must not overflow.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        data = path.read_bytes()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8: {exc}") from None
 
@@ -92,10 +96,10 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> SurvivalDataset:
 
     if not times:
         raise IngestError(f"{path}: no data rows")
-    dataset = SurvivalDataset.from_columns(times, events, time_unit)
+    dataset = SurvivalDataset(times, events, time_unit)
     if math.isinf(dataset.total_time):
         raise IngestError(f"{path}: total follow-up time overflows")
-    return dataset
+    return dataset, hashlib.sha256(data).hexdigest()
 
 
 def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
@@ -109,10 +113,6 @@ def _csv_text(dataset: SurvivalDataset) -> str:
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def _digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _fraction_json(fq: Fraction | None):
@@ -160,32 +160,37 @@ def _km_json(dataset: SurvivalDataset) -> dict:
     }
 
 
+def _report(**fields) -> dict:
+    """A report: the `tool` header, then the fields in the order given."""
+    return {"tool": {"name": _PROG, "version": __version__}, **fields}
+
+
 def build_report(
     dataset: SurvivalDataset,
     config: AnalysisConfig,
     path: str | Path,
+    sha256: str,
     posterior: GammaParams,
     initial_prob: float,
     fragility: dict | None,
     km: dict | None = None,
 ) -> dict:
-    return {
-        "tool": {"name": _PROG, "version": __version__},
-        "input": {
+    return _report(
+        input={
             "path": str(path),
-            "sha256": _digest(path),
+            "sha256": sha256,
             "n": dataset.n,
             "events": dataset.num_events,
             "censored": dataset.num_censored,
             "total_time": dataset.total_time,
             "time_unit": dataset.time_unit,
         },
-        "config": _config_json(config),
-        "posterior": {"shape": posterior.shape, "rate": posterior.rate},
-        "initial_probability": initial_prob,
-        "fragility": fragility,
-        "km": km,
-    }
+        config=_config_json(config),
+        posterior={"shape": posterior.shape, "rate": posterior.rate},
+        initial_probability=initial_prob,
+        fragility=fragility,
+        km=km,
+    )
 
 
 def render_json(report: dict) -> str:
@@ -343,7 +348,7 @@ def reconstruct_case_dataset(case: CaseStudy, prior: GammaParams = _CASE_PRIOR) 
     """
     posterior_rate = calibrate(prior.shape + case.events, case.reported_initial_prob, case.t0)
     per_subject = (posterior_rate - prior.rate) / case.n
-    return SurvivalDataset.from_columns([per_subject] * case.n, [1] * case.events + [0] * case.censored)
+    return SurvivalDataset([per_subject] * case.n, [1] * case.events + [0] * case.censored)
 
 
 def run_reproduce_paper() -> tuple[dict, list[str]]:
@@ -391,12 +396,7 @@ def run_reproduce_paper() -> tuple[dict, list[str]]:
                 "trajectory": fragility["trajectory"],
             }
         )
-    bundle = {
-        "tool": {"name": _PROG, "version": __version__},
-        "cases": cases,
-        "all_match": not mismatches,
-    }
-    return bundle, mismatches
+    return _report(cases=cases, all_match=not mismatches), mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +424,17 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
+def _time_unit(label: str) -> str:
+    """The --time-unit label, if XML 1.0 allows each of its characters, so the SVG and UTF-8 output hold it."""
+    bad = re.search("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", label)
+    if bad:
+        raise argparse.ArgumentTypeError(f"character {bad.group()!r} is not allowed in XML 1.0 text")
+    return label
+
+
 def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("csv", help="input CSV with header time,status")
-    parser.add_argument("--time-unit", default="months", help="time unit label (default months)")
+    parser.add_argument("--time-unit", type=_time_unit, default="months", help="time unit label (default months)")
 
 
 def _add_report_args(parser: argparse.ArgumentParser) -> None:
@@ -463,13 +471,15 @@ def _add_simulate_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _analysis_config(args, dataset: SurvivalDataset | None = None) -> AnalysisConfig:
-    """The config of the flags; given a dataset, its posterior rate must not overflow either."""
+    """The config of the flags; given a dataset, its posterior after any flips must stay in the kernel's domain."""
     try:
         config = AnalysisConfig(t0=args.t0, p0=args.p0, prior=GammaParams(args.prior_shape, args.prior_rate))
     except ValueError as exc:
         raise IngestError(str(exc)) from None
     if dataset is not None and math.isinf(config.prior.rate + dataset.total_time):
         raise IngestError(f"--prior-rate {config.prior.rate!r} plus the total follow-up time overflows")
+    if dataset is not None and config.prior.shape + dataset.n >= MAX_SHAPE:
+        raise IngestError(f"--prior-shape {config.prior.shape!r} plus {dataset.n} subjects reaches 2**53")
     return config
 
 
@@ -484,29 +494,22 @@ def _render(report: dict, fmt: str) -> str:
     return render_json(report) if fmt == "json" else render_text(report)
 
 
-def _cmd_analyze(args) -> int:
-    dataset = ingest_csv(args.csv, args.time_unit)
+def _cmd_report(args) -> int:
+    """analyze, and fi, which adds the fragility search."""
+    dataset, sha256 = ingest_csv(args.csv, args.time_unit)
     config = _analysis_config(args, dataset)
     km = _km_json(dataset) if args.with_km else None
     posterior = posterior_update(config.prior, dataset)
-    initial_prob = posterior_prob_median_exceeds(posterior, config.t0)
-    report = build_report(dataset, config, args.csv, posterior, initial_prob, fragility=None, km=km)
-    _emit(_render(report, args.format), args.out)
-    return EXIT_OK
-
-
-def _cmd_fi(args) -> int:
-    dataset = ingest_csv(args.csv, args.time_unit)
-    config = _analysis_config(args, dataset)
-    km = _km_json(dataset) if args.with_km else None
-    not_applicable = None
-    try:
-        result = fragility_index(dataset, config)
-        initial_prob, fragility = result.initial_prob, _fragility_json(result)
-    except NotFragileApplicableError as exc:
-        initial_prob, fragility, not_applicable = exc.initial_prob, {"applicable": False}, exc
-    posterior = posterior_update(config.prior, dataset)
-    report = build_report(dataset, config, args.csv, posterior, initial_prob, fragility=fragility, km=km)
+    fragility = not_applicable = None
+    if args.command == "analyze":
+        initial_prob = posterior_prob_median_exceeds(posterior, config.t0)
+    else:
+        try:
+            result = fragility_index(dataset, config)
+            initial_prob, fragility = result.initial_prob, _fragility_json(result)
+        except NotFragileApplicableError as exc:
+            initial_prob, fragility, not_applicable = exc.initial_prob, {"applicable": False}, exc
+    report = build_report(dataset, config, args.csv, sha256, posterior, initial_prob, fragility, km)
     _emit(_render(report, args.format), args.out)
     if not_applicable is None:
         return EXIT_OK
@@ -518,7 +521,7 @@ def _cmd_fi(args) -> int:
 
 
 def _cmd_km(args) -> int:
-    dataset = ingest_csv(args.csv, args.time_unit)
+    dataset, _ = ingest_csv(args.csv, args.time_unit)
     curve = km_estimate(dataset)
     points, ticks = km_to_plot_points(curve)
     svg = render_km_svg(points, ticks, dataset.time_unit)
@@ -528,7 +531,7 @@ def _cmd_km(args) -> int:
             "points": [{"time": x, "survival": y} for x, y in points],
             "censor_ticks": [{"time": x, "survival": y} for x, y in ticks],
         }
-        Path(args.points_out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _emit(render_json(payload), args.points_out)
     return EXIT_OK
 
 
@@ -553,7 +556,7 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
 
 
 def _cmd_sensitivity(args) -> int:
-    dataset = ingest_csv(args.csv, args.time_unit)
+    dataset, sha256 = ingest_csv(args.csv, args.time_unit)
     base = _analysis_config(args)
     axes = _parse_grid(args.grid)
     try:
@@ -572,13 +575,12 @@ def _cmd_sensitivity(args) -> int:
             entry["fi_text"] = str(cell.fi) if cell.fi is not None else f"> {dataset.num_censored}"
             entry["fq"] = _fraction_json(None if cell.fi is None else Fraction(cell.fi, dataset.n))
         cells.append(entry)
-    report = {
-        "tool": {"name": _PROG, "version": __version__},
-        "input": {"path": str(args.csv), "sha256": _digest(args.csv)},
-        "base_config": _config_json(base),
-        "axes": {name: list(values) for name, values in grid.axes.items()},
-        "cells": cells,
-    }
+    report = _report(
+        input={"path": str(args.csv), "sha256": sha256},
+        base_config=_config_json(base),
+        axes={name: list(values) for name, values in grid.axes.items()},
+        cells=cells,
+    )
     _emit(_render(report, args.format), args.out)
     return EXIT_OK
 
@@ -603,13 +605,9 @@ def _cmd_simulate(args) -> int:
         counts = fi_distribution(spec, config, args.replications)
         ordered = {str(k): counts[k] for k in sorted(k for k in counts if isinstance(k, int))}
         ordered.update((m, counts[m]) for m in ("not_attained", "not_applicable", "error") if m in counts)
-        report = {
-            "tool": {"name": _PROG, "version": __version__},
-            "spec": asdict(spec),
-            "config": _config_json(config),
-            "replications": args.replications,
-            "counts": ordered,
-        }
+        report = _report(
+            spec=asdict(spec), config=_config_json(config), replications=args.replications, counts=ordered
+        )
         _emit(_render(report, args.format), args.out)
         return EXIT_OK
 
@@ -631,8 +629,8 @@ def _cmd_reproduce(args) -> int:
 
 # name: (help, function adding its arguments, handler), in the order of the top-level help
 _COMMANDS = {
-    "analyze": ("posterior and exceedance probability, no fragility search", _add_report_args, _cmd_analyze),
-    "fi": ("full fragility-index report", _add_report_args, _cmd_fi),
+    "analyze": ("posterior and exceedance probability, no fragility search", _add_report_args, _cmd_report),
+    "fi": ("full fragility-index report", _add_report_args, _cmd_report),
     "km": ("Kaplan-Meier staircase as SVG", _add_km_args, _cmd_km),
     "sensitivity": ("fragility index over a parameter grid", _add_sensitivity_args, _cmd_sensitivity),
     "simulate": ("generate a synthetic trial, or a fragility histogram", _add_simulate_args, _cmd_simulate),

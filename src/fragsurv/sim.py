@@ -107,7 +107,7 @@ def simulate_trial(spec: SimSpec) -> SurvivalDataset:
     for time, event in _draws(spec):
         times.append(time)
         events.append(event)
-    return SurvivalDataset.from_columns(times, events)
+    return SurvivalDataset(times, events)
 
 
 def fi_distribution(

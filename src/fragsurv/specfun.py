@@ -44,6 +44,10 @@ _BISECT_MAX_ITERATIONS = 256
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# From here on a + 1 == a: a shape step is lost and the series cannot advance
+# (above 2.56e305, lgamma(a) overflows too).
+MAX_SHAPE = 2.0**53
+
 
 def reg_lower_inc_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x) = gamma(a, x) / Gamma(a).
@@ -57,12 +61,12 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
     returns the limit 1.
 
     Raises:
-        ValueError: if a <= 0, x < 0, a is not finite, or either is NaN.
+        ValueError: unless 0 < a < MAX_SHAPE (2**53) and x >= 0.
         ConvergenceError: if the scheme does not converge within
             _iteration_budget(a) iterations.
     """
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise ValueError(f"reg_lower_inc_gamma requires finite a > 0, got {a!r}")
+    if not (isinstance(a, (int, float)) and 0 < a < MAX_SHAPE):
+        raise ValueError(f"reg_lower_inc_gamma requires 0 < a < 2**53, got {a!r}")
     if not (isinstance(x, (int, float)) and x >= 0):
         raise ValueError(f"reg_lower_inc_gamma requires x >= 0, got {x!r}")
     a = float(a)
@@ -81,9 +85,10 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
 
 def reg_gamma_shape_step(a: float, x: float) -> float:
     """P(a, x) - P(a + 1, x) = x^a e^{-x} / Gamma(a + 1) (DLMF 8.8.5), 0 at x = 0 and +inf.
-    Formed afresh from the kernel's prefactor: a running product underflows for x >> a."""
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0 and x >= 0):
-        raise ValueError(f"reg_gamma_shape_step requires finite a > 0 and x >= 0, got {a!r}, {x!r}")
+    Formed afresh from the kernel's prefactor: a running product underflows for x >> a.
+    Raises ValueError unless 0 < a < MAX_SHAPE (2**53) and x >= 0."""
+    if not (isinstance(a, (int, float)) and 0 < a < MAX_SHAPE and x >= 0):
+        raise ValueError(f"reg_gamma_shape_step requires 0 < a < 2**53 and x >= 0, got {a!r}, {x!r}")
     if x == 0.0 or x == math.inf:
         return 0.0
     return math.exp(_log_prefactor(a, x)) / a

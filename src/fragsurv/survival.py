@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .specfun import reg_lower_inc_gamma
 
 __all__ = [
-    "Observation",
     "SurvivalDataset",
     "GammaParams",
     "AnalysisConfig",
@@ -29,29 +28,12 @@ __all__ = [
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One subject's follow-up: time > 0 and event indicator (1 event, 0 censored)."""
-
-    time: float
-    event: int
-
-    def __post_init__(self):
-        if not (isinstance(self.time, (int, float)) and math.isfinite(self.time) and self.time > 0):
-            raise ValueError(f"observation time must be finite and > 0, got {self.time!r}")
-        if self.event not in (0, 1):
-            raise ValueError(f"event indicator must be 0 or 1, got {self.event!r}")
-        object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "event", int(self.event))
-
-
 @dataclass(frozen=True, init=False)
 class SurvivalDataset:
     """Ordered, nonempty survival data in one time unit, stored as two columns.
 
     `times` (finite, > 0) and `events` (one 0/1 byte per subject) keep input
-    order. Built from `Observation`s or by `from_columns`, through the same
-    checks. The unit is metadata only. The event count and total follow-up
+    order. The unit is metadata only. The event count and total follow-up
     time, the model's sufficient statistics, are computed once.
     """
 
@@ -61,23 +43,11 @@ class SurvivalDataset:
     num_events: int = field(repr=False, compare=False)
     total_time: float = field(repr=False, compare=False)
 
-    def __init__(self, observations: Iterable[Observation], time_unit: str = "months"):
-        obs = tuple(observations)
-        for o in obs:
-            if not isinstance(o, Observation):
-                raise ValueError(f"expected Observation, got {o!r}")
-        self._set_columns([o.time for o in obs], [o.event for o in obs], time_unit)
-
-    @classmethod
-    def from_columns(cls, times: Iterable[float], events: Iterable[int], time_unit: str = "months") -> SurvivalDataset:
-        """Dataset from a sequence of times and a parallel sequence of 0/1 indicators."""
-        dataset = cls.__new__(cls)
-        dataset._set_columns(times, events, time_unit)
-        return dataset
-
-    def _set_columns(self, times: Iterable[float], events: Iterable[int], time_unit: str) -> None:
+    def __init__(self, times: Iterable[float], events: Iterable[int], time_unit: str = "months"):
         times = tuple(times)
         try:
+            if isinstance(events, int):
+                raise TypeError  # bytes(3) would be three zero bytes
             events = bytes(events)
         except (TypeError, ValueError):
             raise ValueError("event indicators must be the integers 0 and 1") from None
@@ -100,11 +70,6 @@ class SurvivalDataset:
         object.__setattr__(self, "time_unit", time_unit)
         object.__setattr__(self, "num_events", events.count(1))
         object.__setattr__(self, "total_time", total_time)
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        """The rows as `Observation`s, built on each access."""
-        return tuple(map(Observation, self.times, self.events))
 
     @property
     def n(self) -> int:

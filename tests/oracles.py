@@ -21,7 +21,7 @@ from scipy.special import gammainc as scipy_gammainc
 from fragsurv.fragility import NotFragileApplicableError, fragility_index
 from fragsurv.sim import SimSpec, simulate_trial, substream_seed
 from fragsurv.specfun import BracketError, ConvergenceError
-from fragsurv.survival import LN2, AnalysisConfig, Observation, SurvivalDataset
+from fragsurv.survival import LN2, AnalysisConfig, SurvivalDataset
 
 
 def erf_series(z: float) -> float:
@@ -66,13 +66,13 @@ def km_recount(data: SurvivalDataset) -> list[tuple[float, Fraction, int, int]]:
     Risk set at t counts every subject with observed time >= t, so subjects
     censored exactly at t are still at risk (events-first tie convention).
     """
-    times = [o.time for o in data.observations]
-    event_times = sorted({o.time for o in data.observations if o.event == 1})
+    rows = list(zip(data.times, data.events))
+    event_times = sorted({u for u, e in rows if e == 1})
     survival = Fraction(1)
     out = []
     for t in event_times:
-        at_risk = sum(1 for u in times if u >= t)
-        d = sum(1 for o in data.observations if o.event == 1 and o.time == t)
+        at_risk = sum(1 for u, _ in rows if u >= t)
+        d = sum(1 for u, e in rows if e == 1 and u == t)
         survival *= Fraction(at_risk - d, at_risk)
         out.append((t, survival, at_risk, d))
     return out
@@ -118,10 +118,8 @@ def random_dataset(rng: random.Random, n: int, censor_fraction: float) -> Surviv
     num_censored = round(n * censor_fraction)
     flags = [0] * num_censored + [1] * (n - num_censored)
     rng.shuffle(flags)
-    observations = tuple(
-        Observation(rng.expovariate(rng.uniform(0.05, 2.0)) + 1e-9, flag) for flag in flags
-    )
-    return SurvivalDataset(observations)
+    times = [rng.expovariate(rng.uniform(0.05, 2.0)) + 1e-9 for _ in flags]
+    return SurvivalDataset(times, flags)
 
 
 def gamma_log_density(lam: float, shape: float, rate: float) -> float:

@@ -21,7 +21,6 @@ from fragsurv.specfun import reg_lower_inc_gamma
 from fragsurv.survival import (
     AnalysisConfig,
     GammaParams,
-    Observation,
     SurvivalDataset,
     log_likelihood,
     posterior_prob_median_exceeds,
@@ -76,9 +75,7 @@ def test_criterion_2_conjugacy_oracle():
         rng = random.Random(2002)
         for _ in range(50):
             n = rng.randint(1, 5)
-            data = SurvivalDataset(
-                tuple(Observation(rng.uniform(0.5, 10.0), rng.randint(0, 1)) for _ in range(n))
-            )
+            data = SurvivalDataset(*zip(*[(rng.uniform(0.5, 10.0), rng.randint(0, 1)) for _ in range(n)]))
             prior = GammaParams(rng.uniform(0.4, 3.0), rng.uniform(0.4, 3.0))
             posterior = posterior_update(prior, data)
 
@@ -119,12 +116,7 @@ def test_criterion_3_case_study_reproduction():
             achieved = posterior_prob_median_exceeds(GammaParams(shape, posterior_rate), t0)
             assert abs(achieved - reported_prob) <= 1e-6
             per_subject = (posterior_rate - prior.rate) / n
-            data = SurvivalDataset(
-                tuple(
-                    [Observation(per_subject, 1)] * events
-                    + [Observation(per_subject, 0)] * (n - events)
-                )
-            )
+            data = SurvivalDataset([per_subject] * n, [1] * events + [0] * (n - events))
             config = AnalysisConfig(t0=t0, p0=0.7, prior=prior)
             result = fragility_index(data, config)
             probs = dict(result.trajectory)
@@ -166,13 +158,13 @@ def test_criterion_4_fragility_index_oracle_equivalence():
             if result.attained:
                 attained += 1
             # order independence: random flip order, bit-identical probabilities
-            censored = [i for i, o in enumerate(data.observations) if o.event == 0]
+            censored = [i for i, e in enumerate(data.events) if e == 0]
             rng.shuffle(censored)
-            observations = list(data.observations)
+            events = bytearray(data.events)
             prob_by_k = dict(result.trajectory)
             for k, idx in enumerate(censored[: len(prob_by_k) - 1], start=1):
-                observations[idx] = Observation(observations[idx].time, 1)
-                flipped = SurvivalDataset(tuple(observations))
+                events[idx] = 1
+                flipped = SurvivalDataset(data.times, events)
                 posterior = posterior_update(config.prior, flipped)
                 assert posterior_prob_median_exceeds(posterior, config.t0) == prob_by_k[k]
         assert attained >= 40
@@ -223,26 +215,21 @@ def test_criterion_6_km_oracle():
         for _ in range(100):
             n = rng.randint(1, 50)
             if rng.random() < 0.5:
-                observations = tuple(
-                    Observation(rng.randint(1, 15) * 0.5, rng.randint(0, 1)) for _ in range(n)
-                )
+                rows = [(rng.randint(1, 15) * 0.5, rng.randint(0, 1)) for _ in range(n)]
             else:
-                observations = tuple(
-                    Observation(rng.uniform(0.1, 30.0), rng.randint(0, 1)) for _ in range(n)
-                )
-            data = SurvivalDataset(observations)
+                rows = [(rng.uniform(0.1, 30.0), rng.randint(0, 1)) for _ in range(n)]
+            data = SurvivalDataset(*zip(*rows))
             curve = km_estimate(data)
             assert [(s.time, s.survival, s.at_risk, s.events) for s in curve.steps] == km_recount(data)
         # no censoring: exact 1 - ECDF at every observed time
         for _ in range(20):
             n = rng.randint(1, 30)
-            data = SurvivalDataset(tuple(Observation(rng.randint(1, 9) * 1.0, 1) for _ in range(n)))
+            data = SurvivalDataset([rng.randint(1, 9) * 1.0 for _ in range(n)], [1] * n)
             from fractions import Fraction
 
-            times = [o.time for o in data.observations]
             for step in km_estimate(data).steps:
                 assert step.survival == Fraction(
-                    n - sum(1 for t in times if t <= step.time), n
+                    n - sum(1 for t in data.times if t <= step.time), n
                 )
 
 
@@ -292,12 +279,12 @@ def test_criterion_8_simulation_determinism():
         spec = SimSpec(n=10_000, event_rate=0.2, seed=20240101)
         a = simulate_trial(spec)
         b = simulate_trial(spec)
-        assert a.observations == b.observations
-        csv_a = "\n".join(f"{o.time!r},{o.event}" for o in a.observations)
-        csv_b = "\n".join(f"{o.time!r},{o.event}" for o in b.observations)
+        assert (a.times, a.events) == (b.times, b.events)
+        csv_a = "\n".join(f"{t!r},{e}" for t, e in zip(a.times, a.events))
+        csv_b = "\n".join(f"{t!r},{e}" for t, e in zip(b.times, b.events))
         assert csv_a == csv_b  # byte-identical rendering
 
-        mean = sum(o.time for o in a.observations) / a.n
+        mean = sum(a.times) / a.n
         standard_error = 5.0 / math.sqrt(10_000)
         assert abs(mean - 5.0) <= 3 * standard_error
 

@@ -1,8 +1,12 @@
 import argparse
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.dom import minidom
@@ -43,15 +47,15 @@ class TestIngestCsv:
     def test_basic(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("time,status\n2,1\n3,0\n", encoding="utf-8")
-        data = ingest_csv(path)
-        assert [(o.time, o.event) for o in data.observations] == [(2.0, 1), (3.0, 0)]
+        data, _ = ingest_csv(path)
+        assert (data.times, data.events) == ((2.0, 3.0), b"\x01\x00")
 
     def test_header_case_insensitive_and_crlf(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"Time,Status\r\n2.5,1\r\n3,0\r\n")
-        data = ingest_csv(path)
+        data, _ = ingest_csv(path)
         assert data.n == 2
-        assert data.observations[0].time == 2.5
+        assert data.times[0] == 2.5
 
     def test_negative_time_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -115,7 +119,7 @@ class TestIngestCsv:
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("time,status\n2,1\n\n3,0\n\n", encoding="utf-8")
-        assert ingest_csv(path).n == 2
+        assert ingest_csv(path)[0].n == 2
         path.write_text("time,status\n2,1\n\n3,x\n", encoding="utf-8")
         with pytest.raises(IngestError, match="row 4: column 2"):
             ingest_csv(path)
@@ -140,12 +144,56 @@ class TestIngestCsv:
         assert captured.out == ""
         assert captured.err == "fragsurv: input-error: --prior-rate 1e+308 plus the total follow-up time overflows\n"
 
+    @pytest.mark.parametrize("command", ["fi", "analyze"])
+    def test_prior_shape_that_reaches_2_to_the_53_is_input_error(self, demo_csv, capsys, command):
+        # five subjects: the shape after every flip reaches 2**53 from a prior shape of 2**53 - 5 on
+        assert main([command, demo_csv, "--t0", "1", "--prior-shape", "9007199254740987"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fragsurv: input-error: --prior-shape 9007199254740987.0 plus 5 subjects reaches 2**53\n"
+        )
+        code = main([command, demo_csv, "--t0", "1", "--prior-shape", "9007199254740986"])
+        assert code == (EXIT_OK if command == "analyze" else EXIT_NOT_APPLICABLE)
+        assert json.loads(capsys.readouterr().out)["initial_probability"] == 0.0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("argv", [["analyze", "--t0", "2"], ["sensitivity", "--t0", "2", "--grid", "p0=0.5"]],
+                             ids=["analyze", "sensitivity"])
+    def test_sha256_is_of_the_bytes_read_from_a_fifo(self, tmp_path, capsys, argv):
+        # The first writer sends the rows and later ones nothing, so a second read sees an empty file.
+        data = b"time,status\n2,1\n3,0\n1,1\n8,0\n4,1\n"
+        fifo = tmp_path / "rows.csv"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def write():
+            payload = data
+            while not done.is_set():
+                with open(fifo, "wb") as handle:  # blocks until a reader opens the FIFO
+                    handle.write(payload)
+                payload = b""
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            code = main([argv[0], str(fifo), *argv[1:]])
+        finally:
+            done.set()
+            deadline = time.monotonic() + 10
+            while writer.is_alive() and time.monotonic() < deadline:
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # releases a writer blocked in open
+                writer.join(0.01)
+        assert not writer.is_alive()
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["input"]["sha256"] == hashlib.sha256(data).hexdigest()
+
     def test_roundtrip_simulated_dataset(self, tmp_path):
         data = simulate_trial(SimSpec(n=40, event_rate=0.3, censor_rate=0.1, seed=123))
         path = tmp_path / "sim.csv"
         write_csv(data, path)
-        again = ingest_csv(path)
-        assert again.observations == data.observations
+        again, _ = ingest_csv(path)
+        assert again == data
 
 
 class TestFiCommand:
@@ -309,7 +357,7 @@ class TestKmCommand:
         assert root.tag == "{http://www.w3.org/2000/svg}svg"
         assert root.get("version") == "1.1"
 
-        data = ingest_csv(demo_csv)
+        data, _ = ingest_csv(demo_csv)
         expected_points, expected_ticks = km_to_plot_points(km_estimate(data))
         payload = json.loads(points_path.read_text())
         assert [(p["time"], p["survival"]) for p in payload["points"]] == expected_points
@@ -339,6 +387,26 @@ class TestKmCommand:
         assert json.loads(capsys.readouterr().out)["input"]["time_unit"] == unit
         assert main(["analyze", demo_csv, "--t0", "2", "--time-unit", unit, "--format", "text"]) == EXIT_OK
         assert f"input.time_unit: {unit}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("unit", ["\t", "<&>", "\u00e9", "\ud7ff\ue000\ufffd", "\U0001f600\U0010ffff"])
+    def test_labels_within_xml_chars_are_accepted(self, demo_csv, capsys, unit):
+        assert main(["km", demo_csv, "--time-unit", unit]) == EXIT_OK
+        svg = minidom.parseString(capsys.readouterr().out.encode("utf-8"))
+        assert f"Time ({unit})" in [e.firstChild.data for e in svg.getElementsByTagName("text")]
+
+    @pytest.mark.parametrize("unit", ["a\x01b", "\x0b", "\udcff", "\ufffe", "\uffff"])
+    @pytest.mark.parametrize("argv", [["km"], ["analyze", "--t0", "2"], ["fi", "--t0", "2", "--format", "text"],
+                                      ["sensitivity", "--t0", "2", "--grid", "p0=0.5"]], ids=lambda a: a[0])
+    def test_labels_outside_xml_chars_are_input_errors(self, demo_csv, tmp_path, capsys, argv, unit):
+        out = tmp_path / "out"
+        assert main([argv[0], demo_csv, *argv[1:], "--time-unit", unit, "--out", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = unit.strip("ab")
+        assert captured.err.endswith(
+            f"fragsurv: input-error: argument --time-unit: character {bad!r} is not allowed in XML 1.0 text\n"
+        )
+        assert not out.exists()
 
     def test_all_censored_flat_polyline(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -413,12 +481,23 @@ class TestSensitivityCommand:
         assert cell == {"params": {"p0": 0.5}, "status": "error", "error": error}
 
 
+    def test_prior_shape_of_2_to_the_53_is_a_cell_error(self, demo_csv, capsys):
+        argv = ["sensitivity", demo_csv, "--t0", "2", "--grid", "prior_shape=9007199254740989,1e308"]
+        assert main(argv) == EXIT_OK
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        # demo.csv has 3 events: 2**53 - 3 + 3 reaches 2**53
+        assert [cell["error"] for cell in cells] == [
+            "reg_lower_inc_gamma requires 0 < a < 2**53, got 9007199254740992.0",
+            "reg_lower_inc_gamma requires 0 < a < 2**53, got 1e+308",
+        ]
+
+
 class TestSimulateCommand:
     def test_writes_roundtrippable_csv(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--n", "25", "--rate", "0.3", "--censor-rate", "0.1", "--seed", "9", "--out", str(out)])
         assert code == EXIT_OK
-        data = ingest_csv(out)
+        data, _ = ingest_csv(out)
         assert data == simulate_trial(SimSpec(n=25, event_rate=0.3, censor_rate=0.1, seed=9))
 
     def test_stdout_csv_identical_across_runs(self, capsys):
@@ -442,6 +521,11 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert sum(report["counts"].values()) == 30
+
+    def test_prior_shape_of_2_to_the_53_counts_as_error(self, capsys):
+        argv = ["simulate", "--n", "5", "--rate", "1", "--replications", "3", "--t0", "2", "--prior-shape", "1.7e308"]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["counts"] == {"error": 3}
 
     def test_negative_replications_is_input_error(self, capsys):
         assert main(["simulate", "--n", "5", "--rate", "1", "--replications", "-3"]) == EXIT_INPUT_ERROR
@@ -588,6 +672,7 @@ COMMAND_ARGVS = [
     ["km", "d.csv"],
     ["km", "d.csv", "--out", "curve.svg"],
     ["km", "d.csv", "--time-unit", "a<b & c"],
+    ["km", "d.csv", "--time-unit", "a\x01b"],
     ["sensitivity", "d.csv", "--t0", "2", "--grid", "p0=0.6,0.7,0.8"],
     ["sensitivity", "d.csv", "--t0", "2", "--grid", "p0=0.6,0.8;t0=1,2"],
     ["sensitivity", "d.csv", "--t0", "2", "--grid", "p0=0.6;p0=0.7,0.8"],
@@ -636,6 +721,30 @@ class TestArgumentParsing:
     def test_one_command_parser_holds_that_command_alone(self, command):
         (sub,) = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(sub.choices) == [command]
+
+
+class TestExitCodes:
+    """Any flag value ends in a documented exit code, never in a traceback."""
+
+    ARGVS = {
+        "analyze": ["analyze", str(DATA / "demo.csv"), "--t0", "2"],
+        "fi": ["fi", str(DATA / "demo.csv"), "--t0", "2"],
+        "sensitivity": ["sensitivity", str(DATA / "demo.csv"), "--t0", "2", "--grid", "p0=0.5,0.9"],
+        "simulate": ["simulate", "--n", "20", "--rate", "0.3", "--censor-rate", "0.2", "--seed", "3",
+                     "--replications", "5", "--t0", "2"],
+    }
+
+    @pytest.mark.parametrize("flag", ["--prior-shape", "--prior-rate", "--t0", "--p0"])
+    @pytest.mark.parametrize("command", list(ARGVS))
+    def test_extreme_flag_values(self, capsys, command, flag):
+        codes = {}
+        for value in ["5e-324", "1e-300", "1e300", "1e308", "1.7e308", "inf", "nan", "0", "-1"]:
+            try:
+                codes[value] = main(self.ARGVS[command] + [flag, value])
+            except Exception as exc:  # the failure this test looks for
+                codes[value] = repr(exc)
+            capsys.readouterr()
+        assert {v: c for v, c in codes.items() if c not in (0, 2, 3, 4)} == {}
 
 
 class TestEndToEnd:

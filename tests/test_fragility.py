@@ -22,7 +22,6 @@ from fragsurv.survival import (
     LN2,
     AnalysisConfig,
     GammaParams,
-    Observation,
     SurvivalDataset,
     posterior_prob_median_exceeds,
     posterior_update,
@@ -32,7 +31,7 @@ from oracles import erf_series, exhaustive_fi, random_dataset
 
 
 def ds(*pairs):
-    return SurvivalDataset(tuple(Observation(t, e) for t, e in pairs))
+    return SurvivalDataset(*zip(*pairs))
 
 
 def applicable_config(data, p0=0.7, prior=GammaParams(0.5, 0.5)):
@@ -121,13 +120,13 @@ class TestFragilityIndex:
                 result = fragility_index(data, config)
             except NotFragileApplicableError:
                 continue
-            censored = [i for i, o in enumerate(data.observations) if o.event == 0]
+            censored = [i for i, e in enumerate(data.events) if e == 0]
             rng.shuffle(censored)
-            observations = list(data.observations)
+            events = bytearray(data.events)
             prob_by_k = dict(result.trajectory)
             for k, idx in enumerate(censored, start=1):
-                observations[idx] = Observation(observations[idx].time, 1)
-                flipped = SurvivalDataset(tuple(observations))
+                events[idx] = 1
+                flipped = SurvivalDataset(data.times, events)
                 posterior = posterior_update(config.prior, flipped)
                 prob = posterior_prob_median_exceeds(posterior, config.t0)
                 if k in prob_by_k:
@@ -144,7 +143,7 @@ class TestFragilityIndex:
 
 
 def counts_dataset(events, censored):
-    return SurvivalDataset.from_columns([1.0] * (events + censored), [1] * events + [0] * censored)
+    return SurvivalDataset([1.0] * (events + censored), [1] * events + [0] * censored)
 
 
 def config_at(data, x, p0):

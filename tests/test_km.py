@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from fragsurv.km import km_estimate, km_to_plot_points
-from fragsurv.survival import Observation, SurvivalDataset
+from fragsurv.survival import SurvivalDataset
 
 from oracles import km_recount, random_dataset
 
 
 def ds(*pairs):
-    return SurvivalDataset(tuple(Observation(t, e) for t, e in pairs))
+    return SurvivalDataset(*zip(*pairs))
 
 
 class TestKmEstimate:
@@ -33,10 +33,7 @@ class TestKmEstimate:
         for _ in range(60):
             n = rng.randint(1, 40)
             # discretized times force ties, including event/censor ties
-            observations = tuple(
-                Observation(rng.randint(1, 12) * 0.5, rng.randint(0, 1)) for _ in range(n)
-            )
-            data = SurvivalDataset(observations)
+            data = ds(*[(rng.randint(1, 12) * 0.5, rng.randint(0, 1)) for _ in range(n)])
             curve = km_estimate(data)
             expected = km_recount(data)
             assert [(s.time, s.survival, s.at_risk, s.events) for s in curve.steps] == expected
@@ -46,7 +43,7 @@ class TestKmEstimate:
         for _ in range(4):
             n = rng.randint(301, 2000)
             times = [rng.randint(1, 120) * 0.25 for _ in range(n)]  # ties within and across kinds
-            data = SurvivalDataset.from_columns(times, [rng.randint(0, 1) for _ in range(n)])
+            data = SurvivalDataset(times, [rng.randint(0, 1) for _ in range(n)])
             curve = km_estimate(data)
             expected = km_recount(data)
             assert [(s.time, s.at_risk, s.events) for s in curve.steps] == [
@@ -58,16 +55,16 @@ class TestKmEstimate:
 
     @pytest.mark.parametrize("n,kind", [(300, Fraction), (301, float)])
     def test_survival_is_exact_up_to_300_subjects(self, n, kind):
-        data = SurvivalDataset.from_columns([1.0 + i % 7 for i in range(n)], [1] * n)
+        data = SurvivalDataset([1.0 + i % 7 for i in range(n)], [1] * n)
         assert {type(s.survival) for s in km_estimate(data).steps} == {kind}
 
     def test_no_censoring_equals_one_minus_ecdf(self):
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(1, 30)
-            data = SurvivalDataset(tuple(Observation(rng.randint(1, 9) * 1.0, 1) for _ in range(n)))
+            data = SurvivalDataset([rng.randint(1, 9) * 1.0 for _ in range(n)], [1] * n)
             curve = km_estimate(data)
-            times = sorted(o.time for o in data.observations)
+            times = sorted(data.times)
             for step in curve.steps:
                 below_or_at = sum(1 for t in times if t <= step.time)
                 assert step.survival == Fraction(n - below_or_at, n)
@@ -151,10 +148,7 @@ class TestKmToPlotPoints:
             n = rng.randint(1, 80)
             if tied:
                 # coarse grid: ties among events, among censorings and between both
-                observations = tuple(
-                    Observation(rng.randint(1, 10) * 0.5, rng.randint(0, 1)) for _ in range(n)
-                )
-                data = SurvivalDataset(observations)
+                data = ds(*[(rng.randint(1, 10) * 0.5, rng.randint(0, 1)) for _ in range(n)])
             else:
                 data = random_dataset(rng, n, rng.uniform(0.0, 0.9))
             curve = km_estimate(data)

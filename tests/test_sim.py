@@ -74,33 +74,33 @@ class TestSimulateTrial:
         spec = SimSpec(n=50, event_rate=0.3, censor_rate=0.1, seed=987654321)
         a = simulate_trial(spec)
         b = simulate_trial(spec)
-        assert a.observations == b.observations
+        assert a == b
 
     def test_different_seeds_differ(self):
         a = simulate_trial(SimSpec(n=20, event_rate=0.3, seed=1))
         b = simulate_trial(SimSpec(n=20, event_rate=0.3, seed=2))
-        assert a.observations != b.observations
+        assert a != b
 
     def test_administrative_censoring_branch(self):
         # cutoff far below the typical event time forces the censored record (c, 0)
         spec = SimSpec(n=200, event_rate=0.001, censor_time=1e-6, seed=5)
         data = simulate_trial(spec)
-        censored = [o for o in data.observations if o.event == 0]
+        censored = [t for t, e in zip(data.times, data.events) if e == 0]
         assert len(censored) >= 199
-        assert all(o.time == 1e-6 for o in censored)
-        events = [o for o in data.observations if o.event == 1]
-        assert all(o.time <= 1e-6 for o in events)
+        assert all(t == 1e-6 for t in censored)
+        events = [t for t, e in zip(data.times, data.events) if e == 1]
+        assert all(t <= 1e-6 for t in events)
 
     def test_exponential_censoring_records_minimum(self):
         spec = SimSpec(n=500, event_rate=0.5, censor_rate=0.5, seed=11)
         data = simulate_trial(spec)
         assert 0 < data.num_censored < data.n
-        assert all(o.time > 0 for o in data.observations)
+        assert all(t > 0 for t in data.times)
 
     def test_uncensored_mean_within_three_standard_errors(self):
         spec = SimSpec(n=10_000, event_rate=0.2, seed=20240101)
         data = simulate_trial(spec)
-        mean = statistics.fmean(o.time for o in data.observations)
+        mean = statistics.fmean(data.times)
         standard_error = (1 / 0.2) / math.sqrt(10_000)
         assert abs(mean - 5.0) <= 3 * standard_error
         assert data.num_events == data.n
@@ -146,7 +146,7 @@ class TestFiDistribution:
             simulate_trial(SimSpec(n=10, event_rate=0.3, censor_rate=0.1, seed=substream_seed(77, i)))
             for i in range(5)
         ][:3]
-        assert [d.observations for d in first] == [d.observations for d in again]
+        assert first == again
 
     def test_far_threshold_concentrates_not_applicable(self):
         # true median ln2/0.5 ~ 1.4 far below t0=30: conclusions never hold

@@ -97,7 +97,8 @@ class TestRegLowerIncGamma:
         assert 0.0 <= reg_lower_inc_gamma(a, x) <= 1.0
 
     @pytest.mark.parametrize(
-        "a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)]
+        "a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                (2.0**53, 1.0), (1e308, 1e308)]
     )
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
@@ -173,7 +174,8 @@ class TestRegGammaShapeStep:
         assert reg_gamma_shape_step(5.5, 2500.0) == 0.0
         assert reg_gamma_shape_step(2490.5, 2500.0) > 1e-3
 
-    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                     (2.0**53, 1.0), (1e308, 1e308)])
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
             reg_gamma_shape_step(a, x)

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from fragsurv.survival import (
     AnalysisConfig,
     GammaParams,
-    Observation,
     SurvivalDataset,
     log_likelihood,
     posterior_prob_median_exceeds,
@@ -20,23 +19,7 @@ from oracles import erf_series, gamma_log_density, random_dataset
 
 
 def ds(*pairs):
-    return SurvivalDataset(tuple(Observation(t, e) for t, e in pairs))
-
-
-class TestObservation:
-    def test_stores_values(self):
-        o = Observation(2.5, 1)
-        assert o.time == 2.5 and o.event == 1
-
-    @pytest.mark.parametrize("time", [0.0, -1.0, math.inf, math.nan])
-    def test_rejects_bad_times(self, time):
-        with pytest.raises(ValueError):
-            Observation(time, 1)
-
-    @pytest.mark.parametrize("event", [2, -1, 0.5, None])
-    def test_rejects_bad_indicator(self, event):
-        with pytest.raises(ValueError):
-            Observation(1.0, event)
+    return SurvivalDataset(*zip(*pairs))
 
 
 class TestSurvivalDataset:
@@ -52,35 +35,36 @@ class TestSurvivalDataset:
         for _ in range(50):
             d = random_dataset(rng, rng.randint(1, 400), rng.uniform(0.0, 0.9))
             stored = vars(d)
-            assert stored["num_events"] == sum(o.event for o in d.observations)
+            assert stored["num_events"] == sum(d.events)
             # bit for bit: the stored total is the row-order float sum
-            assert stored["total_time"] == sum(o.time for o in d.observations)
+            assert stored["total_time"] == sum(d.times)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            SurvivalDataset(())
+            SurvivalDataset((), ())
 
     def test_preserves_input_order(self):
         d = ds((5, 0), (1, 1), (3, 0))
-        assert [o.time for o in d.observations] == [5.0, 1.0, 3.0]
+        assert d.times == (5.0, 1.0, 3.0)
+        assert d.events == b"\x00\x01\x00"
 
     def test_time_unit_metadata(self):
-        d = SurvivalDataset((Observation(1, 1),), time_unit="weeks")
+        d = SurvivalDataset((1,), (1,), time_unit="weeks")
         assert d.time_unit == "weeks"
 
-    def test_from_columns_equals_the_observation_constructor(self):
+    def test_equal_columns_give_equal_datasets(self):
         rng = random.Random(61)
         for _ in range(50):
             n = rng.randint(1, 400)
             times = [rng.expovariate(rng.uniform(0.05, 2.0)) + 1e-9 for _ in range(n)]
             events = [rng.randint(0, 1) for _ in range(n)]
-            columns = SurvivalDataset.from_columns(times, bytearray(events), "weeks")
-            rows = SurvivalDataset(tuple(map(Observation, times, events)), "weeks")
-            assert columns == rows and hash(columns) == hash(rows)
-            assert columns.num_events == rows.num_events == sum(events)
-            assert columns.total_time.hex() == rows.total_time.hex()
-            assert columns.observations == rows.observations
-            assert [(o.time, o.event) for o in columns.observations] == list(zip(times, events))
+            from_bytes = SurvivalDataset(times, bytearray(events), "weeks")
+            from_lists = SurvivalDataset(iter(times), events, "weeks")
+            assert from_bytes == from_lists and hash(from_bytes) == hash(from_lists)
+            assert from_bytes.num_events == from_lists.num_events == sum(events)
+            assert from_bytes.total_time.hex() == from_lists.total_time.hex()
+            assert list(zip(from_bytes.times, from_bytes.events)) == list(zip(times, events))
+            assert from_bytes != SurvivalDataset(times, events, "days")
 
     @pytest.mark.parametrize(
         "times,events",
@@ -93,13 +77,18 @@ class TestSurvivalDataset:
             ([-1.0], [0]),
             ([1.0, 2.0], [1, 2]),
             ([1.0, 2.0], b"\x01\x02"),
+            ([1.0], [-1]),
+            ([1.0], [0.5]),
+            ([1.0], [None]),
+            ([1.0, 2.0, 3.0], 3),
             ([], []),
         ],
-        ids=["short-events", "short-times", "nan", "inf", "zero", "negative", "event-2", "event-byte-2", "empty"],
+        ids=["short-events", "short-times", "nan", "inf", "zero", "negative", "event-2", "event-byte-2",
+             "event-negative", "event-half", "event-none", "events-an-int", "empty"],
     )
-    def test_from_columns_rejects_bad_columns(self, times, events):
+    def test_rejects_bad_columns(self, times, events):
         with pytest.raises(ValueError):
-            SurvivalDataset.from_columns(times, events)
+            SurvivalDataset(times, events)
 
 
 class TestGammaParams:
@@ -132,11 +121,11 @@ class TestLogLikelihood:
         data = ds((2, 1), (3, 0), (1, 1))
         rate = 0.4
         expected = 0.0
-        for o in data.observations:
-            if o.event:
-                expected += math.log(rate * math.exp(-rate * o.time))
+        for time, event in zip(data.times, data.events):
+            if event:
+                expected += math.log(rate * math.exp(-rate * time))
             else:
-                expected += math.log(math.exp(-rate * o.time))
+                expected += math.log(math.exp(-rate * time))
         assert expected == pytest.approx(2 * math.log(0.4) - 2.4, abs=1e-12)
         assert log_likelihood(data, rate) == pytest.approx(expected, abs=1e-12)
 
