@@ -610,14 +610,22 @@ class TestGoldenOutput:
     """Exact stdout recorded in tests/data; refactors must not move a byte.
 
     Recorded in tests/data with `fragsurv fi demo.csv --t0 2 --with-km`,
+    `fragsurv fi cohort.csv --t0 8 --with-km`,
     `fragsurv sensitivity demo.csv --t0 2 --grid 'p0=0.3,0.7,0.99;prior_shape=0.5,-1'`
-    and `fragsurv reproduce-paper`.
+    and `fragsurv reproduce-paper`. cohort.csv is
+    `fragsurv simulate --n 320 --rate 0.08 --censor-rate 0.04 --seed 3`.
     """
 
     def test_fi_with_km_on_the_demo_csv(self, monkeypatch, capsys):
         monkeypatch.chdir(DATA)
         assert main(["fi", "demo.csv", "--t0", "2", "--with-km"]) == EXIT_OK
         assert capsys.readouterr().out == (DATA / "fi_with_km.json").read_text(encoding="utf-8")
+
+    def test_fi_with_km_above_the_exact_km_limit(self, monkeypatch, capsys):
+        # 320 rows: the float KM product (no survival_exact), censor marks and a 15-step trajectory
+        monkeypatch.chdir(DATA)
+        assert main(["fi", "cohort.csv", "--t0", "8", "--with-km"]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "fi_with_km_cohort.json").read_text(encoding="utf-8")
 
     def test_sensitivity_on_the_demo_csv(self, monkeypatch, capsys):
         # one cell each: not attained, ok, not applicable, and errors from a bad prior shape
