@@ -30,7 +30,7 @@ from .fragility import (
 )
 from .km import km_estimate, km_to_plot_points
 from .sim import SimSpec, fi_distribution, simulate_trial
-from .specfun import MAX_SHAPE, BracketError, ConvergenceError
+from .specfun import MAX_SHAPE, MIN_SHAPE, BracketError, ConvergenceError
 from .survival import (
     AnalysisConfig,
     GammaParams,
@@ -54,10 +54,11 @@ class IngestError(ValueError):
 def ingest_csv(path: str | Path, time_unit: str = "months") -> tuple[SurvivalDataset, str]:
     """Read a `time,status` CSV (UTF-8, LF or CRLF) into a dataset and the sha256 of its bytes.
 
-    Read once, so a pipe or FIFO gets the digest of the bytes it delivered. The
-    header must be exactly `time,status` (case-insensitive). Every data row must
-    carry a positive finite time and a status of 0 or 1; the first offending row
-    is reported by number. The total time must not overflow.
+    Read once, so a pipe or FIFO gets the digest of the bytes it delivered. A row
+    ends at LF, and one CR before it is dropped; any other line-break character
+    is cell text. The header must be exactly `time,status` (case-insensitive).
+    Every data row must carry a positive finite time and a status of 0 or 1; the
+    first offending row is reported by number. The total time must not overflow.
     """
     path = Path(path)
     try:
@@ -68,38 +69,78 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> tuple[SurvivalDat
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8: {exc}") from None
+    dataset = _bulk_columns(text, time_unit) or _parse_rows(path, text, time_unit)
+    return dataset, hashlib.sha256(data).hexdigest()
 
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        raise IngestError(f"{path}: file is empty")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header != ["time", "status"]:
-        raise IngestError(f"{path}: row 1: header must be 'time,status', got {','.join(rows[0])!r}")
 
+# status column text -> event byte, for the bulk path
+_EVENT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
+    """The dataset of a CSV whose every data line is `<time>,0` or `<time>,1`, cut with string
+    operations; None for any other text or any rejected dataset, which _parse_rows then reports."""
+    header, _, body = text.replace("\r\n", "\n").partition("\n")
+    if header.lower() != "time,status" or "\r" in body:
+        return None
+    if not body.endswith("\n"):
+        body += "\n"
+    # One comma per line, and each line ends in ",0" or ",1": every line is one time cell and a status.
+    lines = body.count("\n")
+    if not (body.count(",") == lines == body.count(",0\n") + body.count(",1\n")):
+        return None
+    cells = body[:-1].replace(",", "\n").split("\n")  # time, status, time, status, ...
+    try:
+        times = list(map(float, cells[::2]))
+        events = "".join(cells[1::2]).encode().translate(_EVENT_BYTES)
+        dataset = SurvivalDataset(times, events, time_unit)
+    except ValueError:
+        return None
+    return None if math.isinf(dataset.total_time) else dataset
+
+
+def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
+    """The dataset of any CSV text, one csv.reader row at a time, or the IngestError naming the first bad row."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the line break that ends the last row
+    reader = csv.reader(line[:-1] if line.endswith("\r") else line for line in lines)
     times, events = [], bytearray()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # ignore blank lines
-        if len(row) != 2:
-            raise IngestError(f"{path}: row {lineno}: expected 2 columns, got {len(row)}")
-        time_text, status_text = row[0].strip(), row[1].strip()
-        try:
-            time = float(time_text)
-        except ValueError:
-            raise IngestError(f"{path}: row {lineno}: column 1: invalid time {time_text!r}") from None
-        if not (math.isfinite(time) and time > 0):
-            raise IngestError(f"{path}: row {lineno}: column 1: time must be positive and finite, got {time_text!r}")
-        if status_text not in ("0", "1"):
-            raise IngestError(f"{path}: row {lineno}: column 2: status must be 0 or 1, got {status_text!r}")
-        times.append(time)
-        events.append(status_text == "1")
+    lineno = 0
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1:
+                if [cell.strip().lower() for cell in row] != ["time", "status"]:
+                    raise IngestError(f"{path}: row 1: header must be 'time,status', got {','.join(row)!r}")
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # ignore blank lines
+            if len(row) != 2:
+                raise IngestError(f"{path}: row {lineno}: expected 2 columns, got {len(row)}")
+            time_text, status_text = row[0].strip(), row[1].strip()
+            try:
+                time = float(time_text)
+            except ValueError:
+                raise IngestError(f"{path}: row {lineno}: column 1: invalid time {time_text!r}") from None
+            if not (math.isfinite(time) and time > 0):
+                raise IngestError(
+                    f"{path}: row {lineno}: column 1: time must be positive and finite, got {time_text!r}")
+            if status_text not in ("0", "1"):
+                raise IngestError(f"{path}: row {lineno}: column 2: status must be 0 or 1, got {status_text!r}")
+            times.append(time)
+            events.append(status_text == "1")
+    except csv.Error as exc:  # a CR inside an unquoted cell, a cell over the field size limit
+        # the part of the message after " - " suggests how to open a file, which does not apply here
+        raise IngestError(f"{path}: row {lineno + 1}: {str(exc).partition(' - ')[0]}") from None
 
+    if lineno == 0:
+        raise IngestError(f"{path}: file is empty")
     if not times:
         raise IngestError(f"{path}: no data rows")
     dataset = SurvivalDataset(times, events, time_unit)
     if math.isinf(dataset.total_time):
         raise IngestError(f"{path}: total follow-up time overflows")
-    return dataset, hashlib.sha256(data).hexdigest()
+    return dataset
 
 
 def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
@@ -193,8 +234,49 @@ def build_report(
     )
 
 
+# Report keys whose lists hold only numbers, or flat dicts of numbers and "a/b" digit strings.
+_ROW_LISTS = frozenset(("steps", "censor_marks", "trajectory", "points", "censor_ticks"))
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """`json.dumps(report, indent=2)` and a newline.
+
+    Before 3.13 json runs its pure-Python encoder whenever `indent` is set, so
+    there the report is laid out here, and the long row lists go through the
+    C encoder's compact form.
+    """
+    if sys.version_info >= (3, 13):
+        return json.dumps(report, indent=2) + "\n"
+    return _indented(report, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    """`value`, whose dicts have string keys, as json.dumps(indent=2) writes it at the depth whose line
+    breaks are `newline`."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        return "{" + inner + ("," + inner).join(
+            json.dumps(key) + ": " + (_row_list(item, inner) if key in _ROW_LISTS else _indented(item, inner))
+            for key, item in value.items()
+        ) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join(_indented(item, inner) for item in value) + newline + "]"
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)  # what json writes, without building an encoder per number
+    return json.dumps(value)
+
+
+def _row_list(rows: list, newline: str) -> str:
+    """A row list as _indented writes it, from the C encoder's compact text.
+
+    Numbers and digit strings hold no `{`, `}` or `, `, so each of these in the
+    compact text is layout: `, "` parts the fields of a row, `, ` the rows.
+    """
+    if not rows:
+        return "[]"
+    row, field = newline + "  ", newline + "    "
+    text = json.dumps(rows)[1:-1].replace(', "', "," + field + '"').replace('{"', "{" + field + '"')
+    return "[" + row + text.replace("}", row + "}").replace(", ", "," + row) + newline + "]"
 
 
 def render_text(report: dict) -> str:
@@ -480,6 +562,8 @@ def _analysis_config(args, dataset: SurvivalDataset | None = None) -> AnalysisCo
         raise IngestError(f"--prior-rate {config.prior.rate!r} plus the total follow-up time overflows")
     if dataset is not None and config.prior.shape + dataset.n >= MAX_SHAPE:
         raise IngestError(f"--prior-shape {config.prior.shape!r} plus {dataset.n} subjects reaches 2**53")
+    if dataset is not None and config.prior.shape + dataset.num_events < MIN_SHAPE:
+        raise IngestError(f"--prior-shape {config.prior.shape!r} with no events is below 2**-1022")
     return config
 
 

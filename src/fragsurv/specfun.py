@@ -47,6 +47,10 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 # From here on a + 1 == a: a shape step is lost and the series cannot advance
 # (above 2.56e305, lgamma(a) overflows too).
 MAX_SHAPE = 2.0**53
+# The smallest normal double, 2**-1022. Below it the series' first term 1 / a
+# overflows, and the prefactor x^a e^{-x} / Gamma(a) underflows before the
+# shape step can divide it by a.
+MIN_SHAPE = sys.float_info.min
 
 
 def reg_lower_inc_gamma(a: float, x: float) -> float:
@@ -61,12 +65,12 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
     returns the limit 1.
 
     Raises:
-        ValueError: unless 0 < a < MAX_SHAPE (2**53) and x >= 0.
+        ValueError: unless MIN_SHAPE (2**-1022) <= a < MAX_SHAPE (2**53) and x >= 0.
         ConvergenceError: if the scheme does not converge within
             _iteration_budget(a) iterations.
     """
-    if not (isinstance(a, (int, float)) and 0 < a < MAX_SHAPE):
-        raise ValueError(f"reg_lower_inc_gamma requires 0 < a < 2**53, got {a!r}")
+    if not (isinstance(a, (int, float)) and MIN_SHAPE <= a < MAX_SHAPE):
+        raise ValueError(f"reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got {a!r}")
     if not (isinstance(x, (int, float)) and x >= 0):
         raise ValueError(f"reg_lower_inc_gamma requires x >= 0, got {x!r}")
     a = float(a)
@@ -86,9 +90,9 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
 def reg_gamma_shape_step(a: float, x: float) -> float:
     """P(a, x) - P(a + 1, x) = x^a e^{-x} / Gamma(a + 1) (DLMF 8.8.5), 0 at x = 0 and +inf.
     Formed afresh from the kernel's prefactor: a running product underflows for x >> a.
-    Raises ValueError unless 0 < a < MAX_SHAPE (2**53) and x >= 0."""
-    if not (isinstance(a, (int, float)) and 0 < a < MAX_SHAPE and x >= 0):
-        raise ValueError(f"reg_gamma_shape_step requires 0 < a < 2**53 and x >= 0, got {a!r}, {x!r}")
+    Raises ValueError unless MIN_SHAPE (2**-1022) <= a < MAX_SHAPE (2**53) and x >= 0."""
+    if not (isinstance(a, (int, float)) and MIN_SHAPE <= a < MAX_SHAPE and x >= 0):
+        raise ValueError(f"reg_gamma_shape_step requires 2**-1022 <= a < 2**53 and x >= 0, got {a!r}, {x!r}")
     if x == 0.0 or x == math.inf:
         return 0.0
     return math.exp(_log_prefactor(a, x)) / a

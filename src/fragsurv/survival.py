@@ -58,14 +58,17 @@ class SurvivalDataset:
             raise ValueError(f"{len(times)} times but {len(events)} event indicators")
         if not times:
             raise ValueError("a survival dataset must contain at least one observation")
-        total_time = 0.0
-        for t in times:
-            if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-                raise ValueError(f"observation time must be finite and > 0, got {t!r}")
-            # Plain row-order addition: the same bits on every Python version
-            # (sum() of floats is compensated from 3.12 on).
-            total_time += t
-        object.__setattr__(self, "times", tuple(map(float, times)))
+        kinds = set(map(type, times))
+        total_time = _row_order_total(times) if kinds <= {float, int} and min(times) > 0 else math.nan
+        if not math.isfinite(total_time):
+            # Re-scanned one by one to name the first bad time; finite times whose total overflows pass.
+            for t in times:
+                if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
+                    raise ValueError(f"observation time must be finite and > 0, got {t!r}")
+            total_time = _row_order_total(times)
+        if kinds != {float}:
+            times = tuple(map(float, times))
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "time_unit", time_unit)
         object.__setattr__(self, "num_events", events.count(1))
@@ -110,6 +113,14 @@ class AnalysisConfig:
             raise ValueError(f"p0 must lie in (0, 1), got {self.p0!r}")
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "p0", float(self.p0))
+
+
+def _row_order_total(times: tuple) -> float:
+    """Plain row-order addition: the same bits on every Python version (sum() of floats is compensated from 3.12 on)."""
+    from functools import reduce
+    from operator import add
+
+    return reduce(add, times, 0.0)
 
 
 def log_likelihood(data: SurvivalDataset, rate: float) -> float:

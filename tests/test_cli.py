@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -123,6 +124,91 @@ class TestIngestCsv:
         path.write_text("time,status\n2,1\n\n3,x\n", encoding="utf-8")
         with pytest.raises(IngestError, match="row 4: column 2"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_lf_and_crlf_end_a_row(self, tmp_path, brk):
+        # any other line-break character is cell text: trailing, str.strip drops it; inside, it joins two rows
+        path = tmp_path / "d.csv"
+        path.write_text(f"time,status\n2,1{brk}\n3,0\nabc,1\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="row 4: column 1: invalid time 'abc'"):
+            ingest_csv(path)
+        path.write_text(f"time,status\n2,1{brk}3,0\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="row 2: expected 2 columns, got 3"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("command", ["fi", "analyze"])
+    def test_a_lone_cr_inside_a_row_is_a_row_numbered_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"time,status\r\n2,1\r\n3,0\r4,1\r\n")
+        assert main([command, str(path), "--t0", "1"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fragsurv: input-error: {path}: row 3: new-line character seen in unquoted field\n"
+
+    def test_an_oversized_cell_is_a_row_numbered_input_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("time,status\n2,1\n" + "1" * 200_000 + ",0\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=r"row 3: field larger than field limit"):
+            ingest_csv(path)
+
+
+class TestIngestParsers:
+    """The bulk column path and the csv.reader row parser read every text alike."""
+
+    @staticmethod
+    def _body(seed: int, n: int) -> list[str]:
+        rng = random.Random(seed)
+        return [f"{rng.expovariate(0.1)!r},{rng.randint(0, 1)}" for _ in range(n)]
+
+    @staticmethod
+    def _variants(rows: list[str]) -> dict[str, bytes]:
+        lf = "time,status\n" + "\n".join(rows) + "\n"
+        return {
+            "lf": lf.encode(),
+            "crlf": lf.replace("\n", "\r\n").encode(),
+            "bom": b"\xef\xbb\xbf" + lf.encode(),
+            "no final newline": lf[:-1].encode(),
+            "upper-case header": ("TIME,Status\n" + lf[12:]).encode(),
+            "integers and exponents": (lf + "2,1\n1e3,0\n1_5,1\n").encode(),
+            "trailing blank lines": (lf + "\n\n").encode(),
+            "quoted cells": (lf + '"2",1\n"3","0"\n').encode(),
+            "spaces": (lf + " 2 , 1\n3\t,0 \n").encode(),
+            "other line breaks in cells": (lf + "2\x1c,1\n\u20283,0\n").encode(),
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equal_datasets_totals_and_digests(self, tmp_path, seed):
+        for name, data in self._variants(self._body(seed, 400)).items():
+            path = tmp_path / "d.csv"
+            path.write_bytes(data)
+            text = data.decode("utf-8-sig")
+            dataset, sha256 = ingest_csv(path, "weeks")
+            rows = cli._parse_rows(path, text, "weeks")
+            assert dataset == rows, name
+            assert dataset.total_time.hex() == rows.total_time.hex(), name
+            assert sha256 == hashlib.sha256(data).hexdigest(), name
+            if name in ("lf", "crlf", "bom", "no final newline", "upper-case header", "integers and exponents"):
+                assert cli._bulk_columns(text, "weeks") == rows, name
+
+    @pytest.mark.parametrize("cell", ["0x1p3", "abc", "", "nan", "inf", "-1", "0", "1e999", "2,1", '"2'])
+    def test_the_row_parser_reports_every_bad_time(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        text = "time,status\n" + "\n".join(self._body(4, 50) + [f"{cell},1"]) + "\n"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError) as bulk:
+            ingest_csv(path)
+        with pytest.raises(IngestError) as rows:
+            cli._parse_rows(path, text, "months")
+        assert str(bulk.value) == str(rows.value)
+        assert "row 52: " in str(bulk.value)
+
+    def test_the_constructor_checks_the_bulk_columns(self):
+        # no per-row check in the bulk path: the dataset's constructor rejects these times
+        for body in ["nan,1\n", "inf,0\n", "0,1\n", "-2,0\n"]:
+            assert cli._bulk_columns("time,status\n2,1\n" + body, "months") is None
+        assert cli._bulk_columns("time,status\n1e308,1\n1e308,0\n", "months") is None  # total overflows
+        assert cli._bulk_columns("5\n1,1,1", "months") is None
+        assert cli._bulk_columns("time,status\n5\n1,1,1\n", "months") is None
 
     @pytest.mark.parametrize("command", ["fi", "analyze"])
     def test_overflowing_total_follow_up_is_input_error(self, tmp_path, capsys, command):
@@ -487,8 +573,8 @@ class TestSensitivityCommand:
         cells = json.loads(capsys.readouterr().out)["cells"]
         # demo.csv has 3 events: 2**53 - 3 + 3 reaches 2**53
         assert [cell["error"] for cell in cells] == [
-            "reg_lower_inc_gamma requires 0 < a < 2**53, got 9007199254740992.0",
-            "reg_lower_inc_gamma requires 0 < a < 2**53, got 1e+308",
+            "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 9007199254740992.0",
+            "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 1e+308",
         ]
 
 
@@ -604,6 +690,57 @@ class TestReproducePaper:
         for case in bundle["cases"]:
             probs = [step["probability"] for step in case["trajectory"]]
             assert all(a > b for a, b in zip(probs, probs[1:]))
+
+
+class TestRenderJson:
+    """render_json writes what json.dumps(indent=2) writes, whichever encoder the interpreter has."""
+
+    UNIT = 'w}, "k\\s\u00e9'
+    PATH = 'dir/a "b\\c}, "d\u00e9 \u2028{.csv'
+
+    def _reports(self):
+        from fragsurv.fragility import fragility_index
+        from fragsurv.survival import AnalysisConfig, GammaParams, posterior_update
+
+        config = AnalysisConfig(t0=8.0)
+        for n in (300, 301):
+            trial = simulate_trial(SimSpec(n=n, event_rate=0.08, censor_rate=0.04, seed=n))
+            for events in (trial.events, b"\x01" * n):  # the second has no censor marks and no index
+                dataset = cli.SurvivalDataset(trial.times, events, self.UNIT)
+                posterior = posterior_update(config.prior, dataset)
+                try:
+                    result = fragility_index(dataset, config)
+                    prob, fragility = result.initial_prob, cli._fragility_json(result)
+                except cli.NotFragileApplicableError as exc:
+                    prob, fragility = exc.initial_prob, {"applicable": False}
+                yield cli.build_report(dataset, config, self.PATH, "0" * 64, posterior, prob, fragility,
+                                       cli._km_json(dataset))
+
+    def test_equals_json_dumps_at_300_and_301_subjects(self):
+        reports = list(self._reports())
+        assert [len(r["km"]["censor_marks"]) > 0 for r in reports] == [True, False, True, False]
+        assert [r["fragility"]["applicable"] for r in reports] == [True, False, True, False]
+        assert ["survival_exact" in r["km"]["steps"][0] for r in reports] == [True, True, False, False]
+        for report in reports:
+            expected = json.dumps(report, indent=2) + "\n"
+            assert cli.render_json(report) == expected
+            assert cli._indented(report, "\n") + "\n" == expected  # the layout used before 3.13
+
+    def test_every_command_report_equals_json_dumps(self, tmp_path, capsys):
+        points = tmp_path / "points.json"
+        assert main(["km", str(DATA / "cohort.csv"), "--points-out", str(points)]) == EXIT_OK
+        capsys.readouterr()
+        text = points.read_text(encoding="utf-8")
+        assert cli._indented(json.loads(text), "\n") + "\n" == text
+        argvs = [["analyze", str(DATA / "demo.csv"), "--t0", "2"],
+                 ["sensitivity", str(DATA / "demo.csv"), "--t0", "2", "--grid", "p0=0.3,0.7;prior_shape=0.5,-1"],
+                 ["simulate", "--n", "50", "--rate", "0.1", "--censor-rate", "0.05", "--replications", "40",
+                  "--t0", "5"],
+                 ["reproduce-paper"]]
+        for argv in argvs:
+            main(argv)
+            out = capsys.readouterr().out
+            assert cli._indented(json.loads(out), "\n") + "\n" == out
 
 
 class TestGoldenOutput:
@@ -740,6 +877,8 @@ class TestExitCodes:
         "sensitivity": ["sensitivity", str(DATA / "demo.csv"), "--t0", "2", "--grid", "p0=0.5,0.9"],
         "simulate": ["simulate", "--n", "20", "--rate", "0.3", "--censor-rate", "0.2", "--seed", "3",
                      "--replications", "5", "--t0", "2"],
+        "fi-no-events": ["fi", str(DATA / "censored.csv"), "--t0", "2"],
+        "analyze-no-events": ["analyze", str(DATA / "censored.csv"), "--t0", "2"],
     }
 
     @pytest.mark.parametrize("flag", ["--prior-shape", "--prior-rate", "--t0", "--p0"])
@@ -753,6 +892,9 @@ class TestExitCodes:
                 codes[value] = repr(exc)
             capsys.readouterr()
         assert {v: c for v, c in codes.items() if c not in (0, 2, 3, 4)} == {}
+        if command.endswith("no-events") and flag == "--prior-shape":
+            # a shape below 2**-1022 stays the posterior shape without events: outside the kernel's domain
+            assert codes["5e-324"] == EXIT_INPUT_ERROR
 
 
 class TestEndToEnd:

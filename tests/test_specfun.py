@@ -98,11 +98,13 @@ class TestRegLowerIncGamma:
 
     @pytest.mark.parametrize(
         "a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
-                (2.0**53, 1.0), (1e308, 1e308)]
+                (2.0**53, 1.0), (1e308, 1e308), (5e-324, 0.5), (2.0**-1023, 0.5)]
     )
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(a, x)
+        # the smallest normal shape is inside: there the series starts from 1 / a = 2**1022
+        assert reg_lower_inc_gamma(specfun.MIN_SHAPE, 0.5) == 1.0
 
     @pytest.mark.parametrize("a", [0.1, 1.0, 500.0, 1e6])
     def test_infinite_x_is_the_limit_one(self, a):
@@ -175,10 +177,13 @@ class TestRegGammaShapeStep:
         assert reg_gamma_shape_step(2490.5, 2500.0) > 1e-3
 
     @pytest.mark.parametrize("a,x", [(0.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
-                                     (2.0**53, 1.0), (1e308, 1e308)])
+                                     (2.0**53, 1.0), (1e308, 1e308), (5e-324, 1.0), (2.0**-1023, 1.0)])
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
             reg_gamma_shape_step(a, x)
+        # the smallest normal shape is inside: its prefactor, about e^-709, is divided by a = 2**-1022
+        a = specfun.MIN_SHAPE
+        assert abs(reg_gamma_shape_step(a, 1.0) - math.exp(a * math.log(1.0) - 1.0 - math.lgamma(a + 1.0))) <= 3e-14
 
     def test_three_hundred_steps_reach_the_kernel(self):
         rng = random.Random(20261019)
