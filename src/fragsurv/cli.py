@@ -73,10 +73,6 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> tuple[SurvivalDat
     return dataset, hashlib.sha256(data).hexdigest()
 
 
-# status column text -> event byte, for the bulk path
-_EVENT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
     """The dataset of a CSV whose every data line is `<time>,0` or `<time>,1`, cut with string
     operations; None for any other text or any rejected dataset, which _parse_rows then reports."""
@@ -92,7 +88,7 @@ def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
     cells = body[:-1].replace(",", "\n").split("\n")  # time, status, time, status, ...
     try:
         times = list(map(float, cells[::2]))
-        events = "".join(cells[1::2]).encode().translate(_EVENT_BYTES)
+        events = "".join(cells[1::2]).encode().translate(bytes.maketrans(b"01", b"\x00\x01"))
         dataset = SurvivalDataset(times, events, time_unit)
     except ValueError:
         return None

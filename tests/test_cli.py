@@ -152,64 +152,6 @@ class TestIngestCsv:
             ingest_csv(path)
 
 
-class TestIngestParsers:
-    """The bulk column path and the csv.reader row parser read every text alike."""
-
-    @staticmethod
-    def _body(seed: int, n: int) -> list[str]:
-        rng = random.Random(seed)
-        return [f"{rng.expovariate(0.1)!r},{rng.randint(0, 1)}" for _ in range(n)]
-
-    @staticmethod
-    def _variants(rows: list[str]) -> dict[str, bytes]:
-        lf = "time,status\n" + "\n".join(rows) + "\n"
-        return {
-            "lf": lf.encode(),
-            "crlf": lf.replace("\n", "\r\n").encode(),
-            "bom": b"\xef\xbb\xbf" + lf.encode(),
-            "no final newline": lf[:-1].encode(),
-            "upper-case header": ("TIME,Status\n" + lf[12:]).encode(),
-            "integers and exponents": (lf + "2,1\n1e3,0\n1_5,1\n").encode(),
-            "trailing blank lines": (lf + "\n\n").encode(),
-            "quoted cells": (lf + '"2",1\n"3","0"\n').encode(),
-            "spaces": (lf + " 2 , 1\n3\t,0 \n").encode(),
-            "other line breaks in cells": (lf + "2\x1c,1\n\u20283,0\n").encode(),
-        }
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_equal_datasets_totals_and_digests(self, tmp_path, seed):
-        for name, data in self._variants(self._body(seed, 400)).items():
-            path = tmp_path / "d.csv"
-            path.write_bytes(data)
-            text = data.decode("utf-8-sig")
-            dataset, sha256 = ingest_csv(path, "weeks")
-            rows = cli._parse_rows(path, text, "weeks")
-            assert dataset == rows, name
-            assert dataset.total_time.hex() == rows.total_time.hex(), name
-            assert sha256 == hashlib.sha256(data).hexdigest(), name
-            if name in ("lf", "crlf", "bom", "no final newline", "upper-case header", "integers and exponents"):
-                assert cli._bulk_columns(text, "weeks") == rows, name
-
-    @pytest.mark.parametrize("cell", ["0x1p3", "abc", "", "nan", "inf", "-1", "0", "1e999", "2,1", '"2'])
-    def test_the_row_parser_reports_every_bad_time(self, tmp_path, cell):
-        path = tmp_path / "d.csv"
-        text = "time,status\n" + "\n".join(self._body(4, 50) + [f"{cell},1"]) + "\n"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(IngestError) as bulk:
-            ingest_csv(path)
-        with pytest.raises(IngestError) as rows:
-            cli._parse_rows(path, text, "months")
-        assert str(bulk.value) == str(rows.value)
-        assert "row 52: " in str(bulk.value)
-
-    def test_the_constructor_checks_the_bulk_columns(self):
-        # no per-row check in the bulk path: the dataset's constructor rejects these times
-        for body in ["nan,1\n", "inf,0\n", "0,1\n", "-2,0\n"]:
-            assert cli._bulk_columns("time,status\n2,1\n" + body, "months") is None
-        assert cli._bulk_columns("time,status\n1e308,1\n1e308,0\n", "months") is None  # total overflows
-        assert cli._bulk_columns("5\n1,1,1", "months") is None
-        assert cli._bulk_columns("time,status\n5\n1,1,1\n", "months") is None
-
     @pytest.mark.parametrize("command", ["fi", "analyze"])
     def test_overflowing_total_follow_up_is_input_error(self, tmp_path, capsys, command):
         # each row is valid; only their sum overflows
@@ -280,6 +222,65 @@ class TestIngestParsers:
         write_csv(data, path)
         again, _ = ingest_csv(path)
         assert again == data
+
+
+class TestIngestParsers:
+    """The bulk column path and the csv.reader row parser read every text alike."""
+
+    @staticmethod
+    def _body(seed: int, n: int) -> list[str]:
+        rng = random.Random(seed)
+        return [f"{rng.expovariate(0.1)!r},{rng.randint(0, 1)}" for _ in range(n)]
+
+    @staticmethod
+    def _variants(rows: list[str]) -> dict[str, bytes]:
+        lf = "time,status\n" + "\n".join(rows) + "\n"
+        return {
+            "lf": lf.encode(),
+            "crlf": lf.replace("\n", "\r\n").encode(),
+            "bom": b"\xef\xbb\xbf" + lf.encode(),
+            "no final newline": lf[:-1].encode(),
+            "upper-case header": ("TIME,Status\n" + lf[12:]).encode(),
+            "integers and exponents": (lf + "2,1\n1e3,0\n1_5,1\n").encode(),
+            "trailing blank lines": (lf + "\n\n").encode(),
+            "quoted cells": (lf + '"2",1\n"3","0"\n').encode(),
+            "spaces": (lf + " 2 , 1\n3\t,0 \n").encode(),
+            "other line breaks in cells": (lf + "2\x1c,1\n\u20283,0\n").encode(),
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equal_datasets_totals_and_digests(self, tmp_path, seed):
+        for name, data in self._variants(self._body(seed, 400)).items():
+            path = tmp_path / "d.csv"
+            path.write_bytes(data)
+            text = data.decode("utf-8-sig")
+            dataset, sha256 = ingest_csv(path, "weeks")
+            rows = cli._parse_rows(path, text, "weeks")
+            assert dataset == rows, name
+            assert dataset.total_time.hex() == rows.total_time.hex(), name
+            assert sha256 == hashlib.sha256(data).hexdigest(), name
+            if name in ("lf", "crlf", "bom", "no final newline", "upper-case header", "integers and exponents"):
+                assert cli._bulk_columns(text, "weeks") == rows, name
+
+    @pytest.mark.parametrize("cell", ["0x1p3", "abc", "", "nan", "inf", "-1", "0", "1e999", "2,1", '"2'])
+    def test_the_row_parser_reports_every_bad_time(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        text = "time,status\n" + "\n".join(self._body(4, 50) + [f"{cell},1"]) + "\n"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError) as bulk:
+            ingest_csv(path)
+        with pytest.raises(IngestError) as rows:
+            cli._parse_rows(path, text, "months")
+        assert str(bulk.value) == str(rows.value)
+        assert "row 52: " in str(bulk.value)
+
+    def test_the_constructor_checks_the_bulk_columns(self):
+        # no per-row check in the bulk path: the dataset's constructor rejects these times
+        for body in ["nan,1\n", "inf,0\n", "0,1\n", "-2,0\n"]:
+            assert cli._bulk_columns("time,status\n2,1\n" + body, "months") is None
+        assert cli._bulk_columns("time,status\n1e308,1\n1e308,0\n", "months") is None  # total overflows
+        assert cli._bulk_columns("5\n1,1,1", "months") is None
+        assert cli._bulk_columns("time,status\n5\n1,1,1\n", "months") is None
 
 
 class TestFiCommand:
