@@ -18,7 +18,7 @@ from .fragility import (
     fragility_quotient,
     sensitivity_scan,
 )
-from .km import KMCurve, KMStep, km_estimate, km_to_plot_points
+from .km import KMCurve, km_estimate, km_to_plot_points
 from .sim import SimSpec, SplitMix64, fi_distribution, simulate_trial
 from .specfun import (
     BracketError,
@@ -44,7 +44,6 @@ __all__ = [
     "GammaParams",
     "GridCell",
     "KMCurve",
-    "KMStep",
     "NotFragileApplicableError",
     "SensitivityGrid",
     "SimSpec",

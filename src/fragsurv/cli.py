@@ -102,34 +102,35 @@ def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
         lines.pop()  # the line break that ends the last row
     reader = csv.reader(line[:-1] if line.endswith("\r") else line for line in lines)
     times, events = [], bytearray()
-    lineno = 0
+
+    def bad_row(message: str) -> IngestError:  # numbered by the file line where the row ends
+        return IngestError(f"{path}: row {reader.line_num}: {message}")
+
     try:
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if [cell.strip().lower() for cell in row] != ["time", "status"]:
-                    raise IngestError(f"{path}: row 1: header must be 'time,status', got {','.join(row)!r}")
-                continue
+        header = next(reader, None)
+        if header is not None and [cell.strip().lower() for cell in header] != ["time", "status"]:
+            raise bad_row(f"header must be 'time,status', got {','.join(header)!r}")
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # ignore blank lines
             if len(row) != 2:
-                raise IngestError(f"{path}: row {lineno}: expected 2 columns, got {len(row)}")
+                raise bad_row(f"expected 2 columns, got {len(row)}")
             time_text, status_text = row[0].strip(), row[1].strip()
             try:
                 time = float(time_text)
             except ValueError:
-                raise IngestError(f"{path}: row {lineno}: column 1: invalid time {time_text!r}") from None
+                raise bad_row(f"column 1: invalid time {time_text!r}") from None
             if not (math.isfinite(time) and time > 0):
-                raise IngestError(
-                    f"{path}: row {lineno}: column 1: time must be positive and finite, got {time_text!r}")
+                raise bad_row(f"column 1: time must be positive and finite, got {time_text!r}")
             if status_text not in ("0", "1"):
-                raise IngestError(f"{path}: row {lineno}: column 2: status must be 0 or 1, got {status_text!r}")
+                raise bad_row(f"column 2: status must be 0 or 1, got {status_text!r}")
             times.append(time)
             events.append(status_text == "1")
     except csv.Error as exc:  # a CR inside an unquoted cell, a cell over the field size limit
         # the part of the message after " - " suggests how to open a file, which does not apply here
-        raise IngestError(f"{path}: row {lineno + 1}: {str(exc).partition(' - ')[0]}") from None
+        raise bad_row(str(exc).partition(" - ")[0]) from None
 
-    if lineno == 0:
+    if reader.line_num == 0:
         raise IngestError(f"{path}: file is empty")
     if not times:
         raise IngestError(f"{path}: no data rows")
@@ -181,20 +182,16 @@ def _fragility_json(result: FragilityResult) -> dict:
 
 def _km_json(dataset: SurvivalDataset) -> dict:
     curve = km_estimate(dataset)
-    return {
-        "steps": [
-            {
-                "time": s.time,
-                "survival": float(s.survival),
-                **({"survival_exact": f"{s.survival.numerator}/{s.survival.denominator}"}
-                   if isinstance(s.survival, Fraction) else {}),
-                "at_risk": s.at_risk,
-                "events": s.events,
-            }
-            for s in curve.steps
-        ],
-        "censor_marks": list(curve.censor_marks),
-    }
+    columns = zip(curve.times, curve.survival, curve.at_risk, curve.events)
+    if curve.survival and isinstance(curve.survival[0], Fraction):  # the exact product, to 300 subjects
+        steps = [
+            {"time": t, "survival": float(s), "survival_exact": f"{s.numerator}/{s.denominator}",
+             "at_risk": at_risk, "events": d}
+            for t, s, at_risk, d in columns
+        ]
+    else:
+        steps = [{"time": t, "survival": s, "at_risk": at_risk, "events": d} for t, s, at_risk, d in columns]
+    return {"steps": steps, "censor_marks": list(curve.censor_marks)}
 
 
 def _report(**fields) -> dict:

@@ -8,12 +8,14 @@ float product, within about 1e-14 relative of the exact value.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .survival import SurvivalDataset
 
-__all__ = ["KMStep", "KMCurve", "km_estimate", "km_to_plot_points"]
+__all__ = ["KMCurve", "km_estimate", "km_to_plot_points"]
 
 # Above this many subjects the exact denominators (up to n! for n subjects)
 # cost more than the whole analysis: at 3e4 rows the largest has 5769
@@ -22,49 +24,47 @@ _EXACT_KM_MAX_N = 300
 
 
 @dataclass(frozen=True)
-class KMStep:
-    """Estimate after a distinct event time; `survival` is a float above _EXACT_KM_MAX_N subjects."""
-
-    time: float
-    survival: Fraction | float
-    at_risk: int
-    events: int
-
-
-@dataclass(frozen=True)
 class KMCurve:
-    """Right-continuous step estimate plus the times at which censoring occurred."""
+    """Right-continuous step estimate as columns, plus the times at which censoring occurred.
 
-    steps: tuple[KMStep, ...]
+    `times`, `survival`, `at_risk` and `events` hold one entry per distinct
+    event time, in time order. `survival` is the estimate after that time: a
+    Fraction up to _EXACT_KM_MAX_N subjects, a float above.
+    """
+
+    times: tuple[float, ...]
+    survival: tuple[Fraction | float, ...]
+    at_risk: tuple[int, ...]
+    events: tuple[int, ...]
     censor_marks: tuple[float, ...]
 
 
 def km_estimate(data: SurvivalDataset) -> KMCurve:
     """Product-limit estimate S(t) = prod_{t_i <= t} (1 - d_i / n_i).
 
-    One step per distinct event time. At tied event/censoring times the
+    One entry per distinct event time. At tied event/censoring times the
     events are processed first, so subjects censored at t still count as
     at risk for events at t (the standard convention).
     """
-    events_at: dict[float, int] = {}
-    censored_at: dict[float, int] = {}
-    for t, e in zip(data.times, data.events):
-        bucket = events_at if e else censored_at
-        bucket[t] = bucket.get(t, 0) + 1
-
+    deaths = Counter(compress(data.times, data.events))
+    leaving = Counter(data.times)
     at_risk = data.n
     exact = at_risk <= _EXACT_KM_MAX_N
     survival = Fraction(1) if exact else 1.0
-    steps = []
-    for t in sorted(set(events_at) | set(censored_at)):
-        d = events_at.get(t, 0)
-        if d > 0:
+    times, survivals, at_risks, events = [], [], [], []
+    for t in sorted(leaving):
+        d = deaths.get(t)
+        if d:
             survival *= Fraction(at_risk - d, at_risk) if exact else (at_risk - d) / at_risk
-            steps.append(KMStep(time=t, survival=survival, at_risk=at_risk, events=d))
-        at_risk -= d + censored_at.get(t, 0)
+            times.append(t)
+            survivals.append(survival)
+            at_risks.append(at_risk)
+            events.append(d)
+        at_risk -= leaving[t]
 
-    censor_marks = tuple(sorted(t for t, e in zip(data.times, data.events) if not e))
-    return KMCurve(steps=tuple(steps), censor_marks=censor_marks)
+    censored = data.events.translate(bytes.maketrans(b"\x00\x01", b"\x01\x00"))
+    censor_marks = tuple(sorted(compress(data.times, censored)))
+    return KMCurve(tuple(times), tuple(survivals), tuple(at_risks), tuple(events), censor_marks)
 
 
 def km_to_plot_points(
@@ -77,20 +77,12 @@ def km_to_plot_points(
     censoring), the final level is carried out to the last observed time.
     Censor ticks sit on the staircase at the right-continuous value.
     """
+    levels = [1.0, *map(float, curve.survival)]  # levels[i]: the estimate after the first i event times
     points: list[tuple[float, float]] = [(0.0, 1.0)]
-    levels = [1.0]  # levels[i]: the estimate after the first i steps
-    for step in curve.steps:
-        points.append((step.time, levels[-1]))
-        levels.append(float(step.survival))
-        points.append((step.time, levels[-1]))
+    for t, before, after in zip(curve.times, levels, levels[1:]):
+        points += ((t, before), (t, after))
+    if curve.censor_marks and curve.censor_marks[-1] > points[-1][0]:
+        points.append((curve.censor_marks[-1], levels[-1]))
 
-    last_time = max(
-        (curve.steps[-1].time if curve.steps else 0.0),
-        (curve.censor_marks[-1] if curve.censor_marks else 0.0),
-    )
-    if last_time > points[-1][0]:
-        points.append((last_time, levels[-1]))
-
-    step_times = [step.time for step in curve.steps]
-    ticks = [(t, levels[bisect_right(step_times, t)]) for t in curve.censor_marks]
+    ticks = [(t, levels[bisect_right(curve.times, t)]) for t in curve.censor_marks]
     return points, ticks

@@ -220,17 +220,16 @@ def test_criterion_6_km_oracle():
                 rows = [(rng.uniform(0.1, 30.0), rng.randint(0, 1)) for _ in range(n)]
             data = SurvivalDataset(*zip(*rows))
             curve = km_estimate(data)
-            assert [(s.time, s.survival, s.at_risk, s.events) for s in curve.steps] == km_recount(data)
+            assert list(zip(curve.times, curve.survival, curve.at_risk, curve.events)) == km_recount(data)
         # no censoring: exact 1 - ECDF at every observed time
         for _ in range(20):
             n = rng.randint(1, 30)
             data = SurvivalDataset([rng.randint(1, 9) * 1.0 for _ in range(n)], [1] * n)
             from fractions import Fraction
 
-            for step in km_estimate(data).steps:
-                assert step.survival == Fraction(
-                    n - sum(1 for t in data.times if t <= step.time), n
-                )
+            curve = km_estimate(data)
+            for time, survival in zip(curve.times, curve.survival):
+                assert survival == Fraction(n - sum(1 for t in data.times if t <= time), n)
 
 
 def test_criterion_7_cli_contract(tmp_path, capsys):

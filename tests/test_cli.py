@@ -69,6 +69,10 @@ class TestIngestCsv:
         path.write_text("time,status\n2,1\nabc,0\n", encoding="utf-8")
         with pytest.raises(IngestError, match="row 3.*column 1"):
             ingest_csv(path)
+        # the row number is the file line where the row ends, past a quoted cell spanning lines 2 and 3
+        path.write_text('time,status\n"2\n",1\n3,0\nabc,0\n', encoding="utf-8")
+        with pytest.raises(IngestError, match="row 5: column 1: invalid time 'abc'"):
+            ingest_csv(path)
 
     def test_bad_status_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -139,11 +143,15 @@ class TestIngestCsv:
     @pytest.mark.parametrize("command", ["fi", "analyze"])
     def test_a_lone_cr_inside_a_row_is_a_row_numbered_input_error(self, tmp_path, capsys, command):
         path = tmp_path / "cr.csv"
-        path.write_bytes(b"time,status\r\n2,1\r\n3,0\r4,1\r\n")
-        assert main([command, str(path), "--t0", "1"]) == EXIT_INPUT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"fragsurv: input-error: {path}: row 3: new-line character seen in unquoted field\n"
+        # the second file has a quoted cell spanning lines 2 and 3, so the lone CR is on line 5
+        cases = [(b"time,status\r\n2,1\r\n3,0\r4,1\r\n", 3), (b'time,status\n"2\n",1\n3,0\na\rb,0\n', 5)]
+        for data, line in cases:
+            path.write_bytes(data)
+            assert main([command, str(path), "--t0", "1"]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"fragsurv: input-error: {path}: row {line}: new-line character seen in unquoted field\n")
 
     def test_an_oversized_cell_is_a_row_numbered_input_error(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -749,6 +757,7 @@ class TestGoldenOutput:
 
     Recorded in tests/data with `fragsurv fi demo.csv --t0 2 --with-km`,
     `fragsurv fi cohort.csv --t0 8 --with-km`,
+    `fragsurv km cohort.csv --points-out km_cohort_points.json > km_cohort.svg`,
     `fragsurv sensitivity demo.csv --t0 2 --grid 'p0=0.3,0.7,0.99;prior_shape=0.5,-1'`
     and `fragsurv reproduce-paper`. cohort.csv is
     `fragsurv simulate --n 320 --rate 0.08 --censor-rate 0.04 --seed 3`.
@@ -764,6 +773,14 @@ class TestGoldenOutput:
         monkeypatch.chdir(DATA)
         assert main(["fi", "cohort.csv", "--t0", "8", "--with-km"]) == EXIT_OK
         assert capsys.readouterr().out == (DATA / "fi_with_km_cohort.json").read_text(encoding="utf-8")
+
+    def test_km_svg_and_points_above_the_exact_km_limit(self, monkeypatch, capsys, tmp_path):
+        # 320 rows: the float KM product drawn as a staircase with censor ticks
+        monkeypatch.chdir(DATA)
+        points = tmp_path / "points.json"
+        assert main(["km", "cohort.csv", "--points-out", str(points)]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "km_cohort.svg").read_text(encoding="utf-8")
+        assert points.read_bytes() == (DATA / "km_cohort_points.json").read_bytes()
 
     def test_sensitivity_on_the_demo_csv(self, monkeypatch, capsys):
         # one cell each: not attained, ok, not applicable, and errors from a bad prior shape

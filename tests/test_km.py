@@ -13,19 +13,24 @@ def ds(*pairs):
     return SurvivalDataset(*zip(*pairs))
 
 
+def rows(curve):
+    """(time, survival, at_risk, events) per distinct event time, the shape km_recount returns."""
+    return list(zip(curve.times, curve.survival, curve.at_risk, curve.events))
+
+
 class TestKmEstimate:
     def test_all_censored_is_flat(self):
         curve = km_estimate(ds((1.0, 0), (2.5, 0), (4.0, 0)))
-        assert curve.steps == ()
+        assert (curve.times, curve.survival, curve.at_risk, curve.events) == ((), (), (), ())
         assert curve.censor_marks == (1.0, 2.5, 4.0)
 
     def test_three_observation_product_by_hand(self):
         curve = km_estimate(ds((1.0, 1), (2.0, 0), (3.0, 1)))
-        assert [(s.time, s.survival) for s in curve.steps] == [
+        assert list(zip(curve.times, curve.survival)) == [
             (1.0, Fraction(2, 3)),
             (3.0, Fraction(0)),
         ]
-        assert [(s.at_risk, s.events) for s in curve.steps] == [(3, 1), (1, 1)]
+        assert list(zip(curve.at_risk, curve.events)) == [(3, 1), (1, 1)]
         assert curve.censor_marks == (2.0,)
 
     def test_matches_risk_set_recount_exactly(self):
@@ -36,7 +41,7 @@ class TestKmEstimate:
             data = ds(*[(rng.randint(1, 12) * 0.5, rng.randint(0, 1)) for _ in range(n)])
             curve = km_estimate(data)
             expected = km_recount(data)
-            assert [(s.time, s.survival, s.at_risk, s.events) for s in curve.steps] == expected
+            assert rows(curve) == expected
 
     def test_float_product_above_300_subjects_matches_exact_recount(self):
         rng = random.Random(301)
@@ -46,17 +51,17 @@ class TestKmEstimate:
             data = SurvivalDataset(times, [rng.randint(0, 1) for _ in range(n)])
             curve = km_estimate(data)
             expected = km_recount(data)
-            assert [(s.time, s.at_risk, s.events) for s in curve.steps] == [
+            assert list(zip(curve.times, curve.at_risk, curve.events)) == [
                 (t, at_risk, d) for t, _, at_risk, d in expected
             ]
-            for step, (_, exact, _, _) in zip(curve.steps, expected):
-                assert type(step.survival) is float
-                assert abs(step.survival - exact) <= 1e-12 * exact
+            for survival, (_, exact, _, _) in zip(curve.survival, expected):
+                assert type(survival) is float
+                assert abs(survival - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("n,kind", [(300, Fraction), (301, float)])
     def test_survival_is_exact_up_to_300_subjects(self, n, kind):
         data = SurvivalDataset([1.0 + i % 7 for i in range(n)], [1] * n)
-        assert {type(s.survival) for s in km_estimate(data).steps} == {kind}
+        assert set(map(type, km_estimate(data).survival)) == {kind}
 
     def test_no_censoring_equals_one_minus_ecdf(self):
         rng = random.Random(7)
@@ -65,19 +70,19 @@ class TestKmEstimate:
             data = SurvivalDataset([rng.randint(1, 9) * 1.0 for _ in range(n)], [1] * n)
             curve = km_estimate(data)
             times = sorted(data.times)
-            for step in curve.steps:
-                below_or_at = sum(1 for t in times if t <= step.time)
-                assert step.survival == Fraction(n - below_or_at, n)
+            for time, survival in zip(curve.times, curve.survival):
+                below_or_at = sum(1 for t in times if t <= time)
+                assert survival == Fraction(n - below_or_at, n)
 
     def test_survival_monotone_and_at_risk_strictly_decreasing(self):
         rng = random.Random(99)
         for _ in range(40):
             data = random_dataset(rng, rng.randint(2, 50), rng.uniform(0.0, 0.6))
             curve = km_estimate(data)
-            survivals = [s.survival for s in curve.steps]
+            survivals = curve.survival
             assert all(a >= b for a, b in zip(survivals, survivals[1:]))
             assert all(Fraction(0) <= s <= Fraction(1) for s in survivals)
-            at_risk = [s.at_risk for s in curve.steps]
+            at_risk = curve.at_risk
             assert all(a > b for a, b in zip(at_risk, at_risk[1:]))
 
     def test_trailing_censored_observation_adds_no_step(self):
@@ -87,19 +92,15 @@ class TestKmEstimate:
         extended = ds((1.0, 1), (2.0, 0), (3.0, 1), (4.0, 1), (9.0, 0))
         base_curve = km_estimate(base)
         extended_curve = km_estimate(extended)
-        assert [s.time for s in extended_curve.steps] == [s.time for s in base_curve.steps]
-        assert [s.at_risk for s in extended_curve.steps] == [
-            s.at_risk + 1 for s in base_curve.steps
-        ]
+        assert extended_curve.times == base_curve.times
+        assert list(extended_curve.at_risk) == [at_risk + 1 for at_risk in base_curve.at_risk]
         assert extended_curve.censor_marks == (2.0, 9.0)
-        assert [(s.time, s.survival, s.at_risk, s.events) for s in extended_curve.steps] == km_recount(extended)
+        assert rows(extended_curve) == km_recount(extended)
 
     def test_tied_event_and_censoring_processes_event_first(self):
         # censored subject at t=2 is still at risk for the event at t=2
         curve = km_estimate(ds((2.0, 1), (2.0, 0), (5.0, 0)))
-        assert [(s.time, s.survival, s.at_risk) for s in curve.steps] == [
-            (2.0, Fraction(2, 3), 3)
-        ]
+        assert list(zip(curve.times, curve.survival, curve.at_risk)) == [(2.0, Fraction(2, 3), 3)]
 
 
 class TestKmToPlotPoints:
@@ -155,6 +156,6 @@ class TestKmToPlotPoints:
             _, ticks = km_to_plot_points(curve)
             expected = []
             for t in curve.censor_marks:
-                at_or_before = [s.survival for s in curve.steps if s.time <= t]
+                at_or_before = [s for u, s in zip(curve.times, curve.survival) if u <= t]
                 expected.append((t, float(at_or_before[-1]) if at_or_before else 1.0))
             assert ticks == expected
