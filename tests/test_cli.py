@@ -752,6 +752,20 @@ class TestRenderJson:
             assert cli._indented(json.loads(out), "\n") + "\n" == out
 
 
+# Golden histogram file: the `fragsurv simulate` arguments that wrote it.
+_SIMULATE_HISTOGRAMS = {
+    "simulate_replications_n50.json": "--n 50 --rate 0.1 --censor-rate 0.05 --t0 5 --replications 250 --seed 11",
+    "simulate_replications_n1500.json": "--n 1500 --rate 0.1 --censor-time 8 --t0 6.8 --replications 9 --seed 12",
+}
+
+# Censoring flags: sha256 of the stdout of `fragsurv simulate --n 5000 --rate 0.1 --seed 5 <flags>`.
+_SIMULATE_CSV_SHA256 = {
+    "--censor-rate 0.05": "4a3fd8c5fb69b8557a3fd891b6e413cc13fdc849bdc895e4ef6a3384f06faef7",
+    "--censor-time 8": "af2bf688bbb22ec5bf0ad1a2d1285524a4844f966507fd472c9fa90567cdae6a",
+    "": "7860b067df8f43c7c3c29cff0355d0a5394673c5107727e4bddeab07882ae6ad",
+}
+
+
 class TestGoldenOutput:
     """Exact stdout recorded in tests/data; refactors must not move a byte.
 
@@ -759,7 +773,8 @@ class TestGoldenOutput:
     `fragsurv fi cohort.csv --t0 8 --with-km`,
     `fragsurv km cohort.csv --points-out km_cohort_points.json > km_cohort.svg`,
     `fragsurv sensitivity demo.csv --t0 2 --grid 'p0=0.3,0.7,0.99;prior_shape=0.5,-1'`
-    and `fragsurv reproduce-paper`. cohort.csv is
+    `fragsurv reproduce-paper`, and the two `fragsurv simulate --replications`
+    runs of `_SIMULATE_HISTOGRAMS`. cohort.csv is
     `fragsurv simulate --n 320 --rate 0.08 --censor-rate 0.04 --seed 3`.
     """
 
@@ -792,6 +807,18 @@ class TestGoldenOutput:
     def test_reproduce_paper(self, capsys):
         assert main(["reproduce-paper"]) == EXIT_NUMERICAL_ERROR
         assert capsys.readouterr().out == (DATA / "reproduce_paper.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", sorted(_SIMULATE_HISTOGRAMS))
+    def test_simulate_replications_histogram(self, name, capsys):
+        assert main(["simulate", *_SIMULATE_HISTOGRAMS[name].split()]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("censoring", sorted(_SIMULATE_CSV_SHA256))
+    def test_simulate_csv_digest(self, censoring, capsys):
+        argv = ["simulate", "--n", "5000", "--rate", "0.1", "--seed", "5", *censoring.split()]
+        assert main(argv) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == _SIMULATE_CSV_SHA256[censoring]
 
 
 def _pinned(name: str) -> tuple[int, str, str]:
