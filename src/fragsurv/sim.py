@@ -8,8 +8,13 @@ default, so identical seeds give bit-identical draws on every platform.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import islice, repeat
+from operator import add, le, truediv
 
 from .fragility import NotFragileApplicableError, crossing_fi
 from .specfun import ConvergenceError
@@ -21,6 +26,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _LARGEST_LOG_DRAW = -math.log(2.0**-54)  # uniform() is never below 2^-54
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+_BLOCK = 1024  # draws per _uniforms call; 512 is slower, and 2048 and 4096 are no faster
+# The low 64-bit word of each 128-bit slot, read as machine words from the native byte order.
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
 def _mix64(z: int) -> int:
@@ -83,31 +91,88 @@ class SimSpec:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
-def _draws(spec: SimSpec):
-    """Yield (min(T, C), T <= C) per subject: T = -ln(U) / event_rate, C = censor_time,
-    -ln(U') / censor_rate (a second uniform) or inf. A time of 0 raises as SurvivalDataset."""
-    rng = SplitMix64(spec.seed)
-    for _ in range(spec.n):
-        t = -math.log(rng.uniform()) / spec.event_rate
-        if spec.censor_time is not None:
+@lru_cache(maxsize=8)
+def _lane_constants(lanes: int) -> tuple[int, int, int, int]:
+    """For `lanes` 128-bit slots: 1, 2^64 - 1 and 2^54 - 1 in every slot, and (k + 1)·GOLDEN mod 2^64 in slot k."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    ramp = b"".join((((k + 1) * _GOLDEN) & _MASK64).to_bytes(16, "little") for k in range(lanes))
+    return ones, ones * _MASK64, ones * ((1 << 54) - 1), int.from_bytes(ramp, "little")
+
+
+def _uniforms(states: list[int], count: int) -> list[float]:
+    """`count` draws of SplitMix64(s).uniform() for each start state s, stream after stream, bit for bit.
+
+    Lane j = r·count + k holds state k of stream r as a 64-bit value in a 128-bit slot of one
+    int, so no carry or product reaches the next lane, and every step of the generator runs once
+    over the whole int. The scalar draw is (q + 0.5)·2^-53 rounded once, for q the top 53 bits;
+    the lanes give 2q + 1, and (2q + 1)·2^-54 rounds to the same double because scaling by a
+    power of two commutes with rounding."""
+    lanes = len(states) * count
+    ones, mask, low54, ramp = _lane_constants(lanes)
+    # stream r's lanes hold s_r - r·count·GOLDEN, so adding the ramp leaves s_r + (k + 1)·GOLDEN in lane j
+    z = int.from_bytes(
+        b"".join([((s - r * count * _GOLDEN) & _MASK64).to_bytes(16, "little") * count for r, s in enumerate(states)]),
+        "little",
+    )
+    z = (z + ramp) & mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    z = (((z ^ (z >> 31)) >> 10) & low54) | ones
+    words = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS]
+    draws = [x * 2.0**-54 for x in words]
+    if 1.0 in draws:  # the top lattice point q = 2^53 - 1
+        draws = [u if u < 1.0 else _BELOW_ONE for u in draws]
+    return draws
+
+
+def _observed(spec: SimSpec, states: Iterable[int]):
+    """Yield (times, events, subjects) over `spec.n` subjects of each stream, in order.
+
+    A block holds as many whole streams of `subjects` subjects as fit in _BLOCK draws or, when one
+    stream does not fit, the next `subjects` subjects of one stream. Subject i of a stream draws
+    U (and U' when censoring is exponential): T = -ln(U) / event_rate; C = censor_time,
+    -ln(U') / censor_rate or inf; its time is min(T, C) and its event T <= C."""
+    per = 1 if spec.censor_rate is None else 2
+    step = _BLOCK // per
+    if spec.n <= step:
+        states = iter(states)
+        blocks = ((group, spec.n) for group in iter(lambda: list(islice(states, step // spec.n)), []))
+    else:
+        # the piece at subject offset o of a stream starts o·per draws further on
+        blocks = (
+            ([s + o * per * _GOLDEN], min(step, spec.n - o)) for s in states for o in range(0, spec.n, step)
+        )
+    for starts, subjects in blocks:
+        logs = list(map(math.log, _uniforms(starts, subjects * per)))
+        t = list(map(truediv, logs[::per], repeat(-spec.event_rate)))
+        if spec.censor_rate is not None:
+            c = list(map(truediv, logs[1::2], repeat(-spec.censor_rate)))
+            yield [x if x <= y else y for x, y in zip(t, c)], bytes(map(le, t, c)), subjects
+        elif spec.censor_time is not None:
             c = spec.censor_time
-        elif spec.censor_rate is not None:
-            c = -math.log(rng.uniform()) / spec.censor_rate
+            yield [x if x <= c else c for x in t], bytes(map(le, t, repeat(c))), subjects
         else:
-            c = math.inf
-        time = min(t, c)
-        if not time > 0.0:
-            raise ValueError(f"observation time must be finite and > 0, got {time!r}")
-        yield time, t <= c
+            yield t, b"\x01" * len(t), subjects
 
 
 def simulate_trial(spec: SimSpec) -> SurvivalDataset:
-    """One dataset of the subjects of `_draws`; identical seeds give bit-identical datasets."""
+    """One dataset of `spec.n` subjects drawn from the stream of `spec.seed`, in blocks of
+    `_observed`; identical seeds give bit-identical datasets. A time of 0 raises ValueError."""
     times, events = [], bytearray()
-    for time, event in _draws(spec):
-        times.append(time)
-        events.append(event)
+    for block_times, block_events, _ in _observed(spec, [spec.seed]):
+        times += block_times
+        events += block_events
     return SurvivalDataset(times, events)
+
+
+def _fi_outcome(events: int, total_time: float, censored: int, config: AnalysisConfig) -> int | str:
+    try:
+        _, fi = crossing_fi(events, total_time, censored, config)
+    except NotFragileApplicableError:
+        return "not_applicable"
+    except (ConvergenceError, ValueError):
+        return "error"
+    return "not_attained" if fi is None else fi
 
 
 def fi_distribution(
@@ -119,21 +184,21 @@ def fi_distribution(
     "not_applicable" and "error"; counts always sum to `replications`.
     Replication i uses substream i of the seed, so prefixes agree across
     different replication counts. Builds no dataset: `crossing_fi` takes each
-    replication's event count and total time, summed as SurvivalDataset does."""
+    replication's event count and total time, the latter a row-order `reduce`
+    as in SurvivalDataset (`sum()` is compensated from Python 3.12 on)."""
     if not (isinstance(replications, int) and replications >= 1):
         raise ValueError(f"replications must be a positive integer, got {replications!r}")
     counts: Counter[int | str] = Counter()
-    for i in range(replications):
-        events, total_time = 0, 0.0
-        for time, event in _draws(replace(spec, seed=substream_seed(spec.seed, i))):
-            events += event
-            total_time += time
-        try:
-            _, fi = crossing_fi(events, total_time, spec.n - events, config)
-        except NotFragileApplicableError:
-            counts["not_applicable"] += 1
-        except (ConvergenceError, ValueError):
-            counts["error"] += 1
-        else:
-            counts["not_attained" if fi is None else fi] += 1
+    # a replication longer than one block carries its running statistics into the next
+    events, total_time, valid, seen = 0, 0.0, True, 0
+    for times, flags, subjects in _observed(spec, (substream_seed(spec.seed, i) for i in range(replications))):
+        for k in range(0, len(times), subjects):
+            piece = times[k:k + subjects]
+            events += flags.count(1, k, k + subjects)
+            total_time = reduce(add, piece, total_time)
+            valid = valid and min(piece) > 0.0
+            seen += subjects
+            if seen == spec.n:
+                counts[_fi_outcome(events, total_time, spec.n - events, config) if valid else "error"] += 1
+                events, total_time, valid, seen = 0, 0.0, True, 0
     return dict(counts)

@@ -98,11 +98,12 @@ def exhaustive_fi(data: SurvivalDataset, config: AnalysisConfig) -> int | str:
 
 def fi_histogram_reference(spec: SimSpec, config: AnalysisConfig, reps: int) -> dict[int | str, int]:
     """fi_distribution's histogram from `simulate_trial` and `fragility_index`
-    per replication, with the kernel evaluated at every flip."""
+    per replication, with the kernel evaluated at every flip. A replication
+    whose dataset cannot be built (a time that underflows to 0) is an error."""
     counts: Counter[int | str] = Counter()
     for i in range(reps):
-        dataset = simulate_trial(replace(spec, seed=substream_seed(spec.seed, i)))
         try:
+            dataset = simulate_trial(replace(spec, seed=substream_seed(spec.seed, i)))
             result = fragility_index(dataset, config)
         except NotFragileApplicableError:
             counts["not_applicable"] += 1

@@ -752,7 +752,8 @@ class TestRenderJson:
             assert cli._indented(json.loads(out), "\n") + "\n" == out
 
 
-# Golden histogram file: the `fragsurv simulate` arguments that wrote it.
+# Golden histogram file: the `fragsurv simulate` arguments that wrote it. At n = 1500 with
+# --censor-time one replication takes 1500 draws, more than one block of `sim._uniforms`.
 _SIMULATE_HISTOGRAMS = {
     "simulate_replications_n50.json": "--n 50 --rate 0.1 --censor-rate 0.05 --t0 5 --replications 250 --seed 11",
     "simulate_replications_n1500.json": "--n 1500 --rate 0.1 --censor-time 8 --t0 6.8 --replications 9 --seed 12",

@@ -1,10 +1,11 @@
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 
-from fragsurv import fragility
-from fragsurv.sim import SimSpec, SplitMix64, fi_distribution, simulate_trial, substream_seed
+from fragsurv import fragility, sim
+from fragsurv.sim import _BLOCK, SimSpec, SplitMix64, _uniforms, fi_distribution, simulate_trial, substream_seed
 from fragsurv.survival import LN2, AnalysisConfig, GammaParams, posterior_update
 
 from oracles import fi_histogram_reference
@@ -47,6 +48,70 @@ class TestSplitMix64:
     def test_substreams_differ(self):
         seeds = {substream_seed(42, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+def _seed_for_first_draw(q: int) -> int:
+    """The seed whose first uniform() has top 53 bits q (and the low 11 bits zero)."""
+    return (_unmix64(q << 11) - _GOLDEN) & _MASK64
+
+
+def _scalar_trial(spec: SimSpec) -> tuple[list[float], bytes]:
+    """Times and events drawn one subject at a time from SplitMix64, the reference for the bulk kernel."""
+    rng = SplitMix64(spec.seed)
+    times, events = [], bytearray()
+    for _ in range(spec.n):
+        t = -math.log(rng.uniform()) / spec.event_rate
+        if spec.censor_time is not None:
+            c = spec.censor_time
+        elif spec.censor_rate is not None:
+            c = -math.log(rng.uniform()) / spec.censor_rate
+        else:
+            c = math.inf
+        times.append(min(t, c))
+        events.append(t <= c)
+    return times, bytes(events)
+
+
+class TestUniforms:
+    """The bulk kernel against SplitMix64.uniform, compared as float.hex strings."""
+
+    @staticmethod
+    def _reference(states, count):
+        draws = []
+        for state in states:
+            rng = SplitMix64(state)
+            draws += [rng.uniform().hex() for _ in range(count)]
+        return draws
+
+    @pytest.mark.parametrize("count", [1, 2, 7, _BLOCK // 2 + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_one_stream_bit_for_bit(self, count):
+        for seed in (0, 1, 12345, _GOLDEN, _MASK64, 2**63, 0xDEADBEEFCAFEBABE):
+            assert [u.hex() for u in _uniforms([seed], count)] == self._reference([seed], count), seed
+
+    @pytest.mark.parametrize("count", [1, 3, 50, _BLOCK // 4, _BLOCK + 1])
+    def test_many_streams_bit_for_bit(self, count):
+        states = [substream_seed(2024, i) for i in range(9)] + [0, _MASK64, 2**64 + 17]
+        assert [u.hex() for u in _uniforms(states, count)] == self._reference(states, count)
+
+    def test_lowest_lattice_point_is_two_to_the_minus_54(self):
+        seed = _seed_for_first_draw(0)
+        assert SplitMix64(seed).uniform() == 2.0**-54
+        draws = _uniforms([1, seed, 2], 3)
+        assert draws[3] == 2.0**-54
+        assert [u.hex() for u in draws] == self._reference([1, seed, 2], 3)
+
+    def test_top_lattice_point_is_just_below_one(self):
+        # (2^54 - 1)·2^-54 rounds to 1.0, which must not reach -ln(U)
+        seed = _seed_for_first_draw(2**53 - 1)
+        assert SplitMix64(seed).uniform() == math.nextafter(1.0, 0.0)
+        draws = _uniforms([7, seed], 5)
+        assert draws[5] == math.nextafter(1.0, 0.0)
+        assert max(draws) < 1.0
+        assert [u.hex() for u in draws] == self._reference([7, seed], 5)
+
+    def test_seed_is_taken_mod_two_to_the_64(self):
+        for seed in (2**64, 2**64 + 99, 2**128 + 5, 2**300 - 1):
+            assert [u.hex() for u in _uniforms([seed, 3], 20)] == self._reference([seed & _MASK64, 3], 20)
 
 
 class TestSimSpec:
@@ -117,6 +182,37 @@ class TestSimulateTrial:
         assert abs(estimated_median - true_median) <= 4 * true_median / math.sqrt(spec.n)
 
 
+class TestSimulateTrialEqualsScalarDraws:
+    """simulate_trial in blocks against subjects drawn one at a time."""
+
+    @pytest.mark.parametrize("censoring", [{}, {"censor_time": 6.0}, {"censor_rate": 0.05}])
+    def test_sizes_around_the_block(self, censoring):
+        for n in (1, 2, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+            spec = SimSpec(n=n, event_rate=0.1, seed=31 * n + 7, **censoring)
+            data = simulate_trial(spec)
+            times, events = _scalar_trial(spec)
+            assert [t.hex() for t in data.times] == [t.hex() for t in times], (censoring, n)
+            assert data.events == events
+
+    @pytest.mark.parametrize("censoring", [{}, {"censor_time": 6.0}, {"censor_rate": 0.05}])
+    def test_seed_of_two_to_the_64_or_more_gives_the_seed_mod_two_to_the_64(self, censoring):
+        n = 2 * _BLOCK + 3
+        base = simulate_trial(SimSpec(n=n, event_rate=0.1, seed=123, **censoring))
+        for seed in (2**64 + 123, 2**100 * 3 + 123, 2**512 + 123):
+            data = simulate_trial(SimSpec(n=n, event_rate=0.1, seed=seed, **censoring))
+            assert data == base
+            assert data.total_time == base.total_time
+        spec = SimSpec(n=40, event_rate=0.1, seed=2**64 + 123, **censoring)
+        config = AnalysisConfig(t0=5.0)
+        assert fi_distribution(spec, config, 30) == fi_distribution(replace(spec, seed=123), config, 30)
+
+    def test_an_underflowing_time_raises(self):
+        # the top lattice point gives -ln(U) ~ 2^-53, and 2^-53 / 1e308 rounds to 0
+        seed = _seed_for_first_draw(2**53 - 1)
+        with pytest.raises(ValueError, match="observation time must be finite and > 0, got 0.0"):
+            simulate_trial(SimSpec(n=5, event_rate=1e308, seed=seed))
+
+
 class TestFiDistribution:
     def test_single_replication_single_bucket(self):
         spec = SimSpec(n=20, event_rate=0.1, censor_rate=0.05, seed=3)
@@ -170,7 +266,7 @@ class TestFiDistribution:
 
     def test_the_top_lattice_point_stays_below_one(self):
         # ((2^53 - 1) + 0.5) * 2^-53 rounds to 1.0, where -ln(U) would be -0.0
-        seed = (_unmix64((2**53 - 1) << 11) - _GOLDEN) & _MASK64
+        seed = _seed_for_first_draw(2**53 - 1)
         assert SplitMix64(seed).uniform() == math.nextafter(1.0, 0.0)
         assert simulate_trial(SimSpec(n=3, event_rate=1.0, seed=seed)).times[0] > 0.0
         spec = SimSpec(n=3, event_rate=1.0, seed=(_unmix64(seed) - _GOLDEN) & _MASK64)
@@ -215,6 +311,42 @@ class TestFiDistributionEqualsReference:
                     assert counts == fi_histogram_reference(spec, config, reps), (censoring, n, t0)
                     outcomes.update("fi" if isinstance(k, int) else k for k in counts)
         assert outcomes == {"fi", "not_attained", "not_applicable"}
+
+    @pytest.mark.parametrize("censoring", [{}, {"censor_time": _MEDIAN}, {"censor_rate": 0.2}])
+    def test_partial_last_group_and_replications_spanning_blocks(self, censoring):
+        # 50 subjects: 10 or 20 replications per block, and 25 leaves a partial last group;
+        # above half a block one replication takes a whole block, or two with two draws a subject
+        for n, reps in ((50, 25), (_BLOCK // 2 + 88, 7), (_BLOCK + 300, 3)):
+            spec = SimSpec(n=n, event_rate=0.2, seed=4000 + n, **censoring)
+            for t0 in (0.8 * _MEDIAN, 0.95 * _MEDIAN):
+                config = AnalysisConfig(t0=t0)
+                assert fi_distribution(spec, config, reps) == fi_histogram_reference(spec, config, reps), (n, t0)
+
+    @pytest.mark.parametrize("censoring", [{}, {"censor_time": _MEDIAN}, {"censor_rate": 0.2}])
+    def test_statistics_are_those_of_the_dataset_bit_for_bit(self, censoring, monkeypatch):
+        # the search sees each replication's event count and row-order total, across block ends too
+        seen = []
+
+        def recording(events, total_time, censored, config):
+            seen.append((events, total_time.hex(), censored))
+            return None, None
+
+        monkeypatch.setattr(sim, "crossing_fi", recording)
+        for n, reps in ((50, 25), (_BLOCK + 300, 3)):
+            spec = SimSpec(n=n, event_rate=0.2, seed=77 + n, **censoring)
+            seen.clear()
+            assert fi_distribution(spec, AnalysisConfig(t0=1.0), reps) == {"not_attained": reps}
+            datasets = [simulate_trial(replace(spec, seed=substream_seed(spec.seed, i))) for i in range(reps)]
+            assert seen == [(d.num_events, d.total_time.hex(), d.num_censored) for d in datasets], n
+
+    def test_an_underflowing_time_is_an_error_of_that_replication_only(self):
+        # replication 0 starts at the top lattice point, whose time ~2^-53 / 1e308 rounds to 0
+        seed = (_unmix64(_seed_for_first_draw(2**53 - 1)) - _GOLDEN) & _MASK64
+        spec = SimSpec(n=20, event_rate=1e308, seed=seed)
+        config = AnalysisConfig(t0=1e-300)
+        counts = fi_distribution(spec, config, 30)
+        assert counts == fi_histogram_reference(spec, config, 30)
+        assert counts["error"] == 1
 
     def test_overflowing_total_time_is_an_error(self):
         # each draw is finite, but 500 of them at rate 1e-306 sum past the largest double
