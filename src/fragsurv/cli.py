@@ -26,6 +26,7 @@ from .fragility import (
     SENSITIVITY_AXES,
     calibrate,
     fragility_index,
+    fragility_quotient,
     sensitivity_scan,
 )
 from .km import km_estimate, km_to_plot_points
@@ -70,6 +71,8 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> tuple[SurvivalDat
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8: {exc}") from None
     dataset = _bulk_columns(text, time_unit) or _parse_rows(path, text, time_unit)
+    if math.isinf(dataset.total_time):
+        raise IngestError(f"{path}: total follow-up time overflows")
     return dataset, hashlib.sha256(data).hexdigest()
 
 
@@ -89,10 +92,9 @@ def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
     try:
         times = list(map(float, cells[::2]))
         events = "".join(cells[1::2]).encode().translate(bytes.maketrans(b"01", b"\x00\x01"))
-        dataset = SurvivalDataset(times, events, time_unit)
+        return SurvivalDataset(times, events, time_unit)
     except ValueError:
         return None
-    return None if math.isinf(dataset.total_time) else dataset
 
 
 def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
@@ -134,10 +136,7 @@ def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
         raise IngestError(f"{path}: file is empty")
     if not times:
         raise IngestError(f"{path}: no data rows")
-    dataset = SurvivalDataset(times, events, time_unit)
-    if math.isinf(dataset.total_time):
-        raise IngestError(f"{path}: total follow-up time overflows")
-    return dataset
+    return SurvivalDataset(times, events, time_unit)
 
 
 def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
@@ -276,15 +275,8 @@ def render_text(report: dict) -> str:
     """Human-oriented flat rendering; numbers are repr-exact but layout is unstable."""
     lines: list[str] = []
 
-    def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            items = value.items()
-        elif isinstance(value, list):
-            items = enumerate(value)
-        else:
-            lines.append(f"{prefix.rstrip('.')}: {_text_scalar(value)}")
-            return
-        for key, sub in items:
+    def walk(prefix: str, value: dict | list) -> None:
+        for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
             if isinstance(sub, (dict, list)):
                 walk(f"{prefix}{key}.", sub)
             else:
@@ -343,7 +335,7 @@ def render_km_svg(
         f'width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">'
     )
     x0, y0 = px(0.0), py(0.0)
-    x1, y1 = px(t_max), py(1.0)
+    y1 = py(1.0)
     e.append(f'<line x1="{x0:.3f}" y1="{y0:.3f}" x2="{px(t_max):.3f}" y2="{y0:.3f}" stroke="black"/>')
     e.append(f'<line x1="{x0:.3f}" y1="{y0:.3f}" x2="{x0:.3f}" y2="{y1:.3f}" stroke="black"/>')
 
@@ -414,15 +406,15 @@ _CASE_P0 = 0.7
 _CASE_PROB_TOL = 1e-6
 
 
-def reconstruct_case_dataset(case: CaseStudy, prior: GammaParams = _CASE_PRIOR) -> SurvivalDataset:
+def reconstruct_case_dataset(case: CaseStudy) -> SurvivalDataset:
     """Dataset matching a case study's published summary statistics.
 
     Only the event count and the total follow-up time enter the posterior,
     so the individual times can be set uniformly: the posterior rate is
     back-solved from the published initial probability and split evenly.
     """
-    posterior_rate = calibrate(prior.shape + case.events, case.reported_initial_prob, case.t0)
-    per_subject = (posterior_rate - prior.rate) / case.n
+    posterior_rate = calibrate(_CASE_PRIOR.shape + case.events, case.reported_initial_prob, case.t0)
+    per_subject = (posterior_rate - _CASE_PRIOR.rate) / case.n
     return SurvivalDataset([per_subject] * case.n, [1] * case.events + [0] * case.censored)
 
 
@@ -650,7 +642,7 @@ def _cmd_sensitivity(args) -> int:
         if cell.status == "ok":
             entry["fi"] = cell.fi
             entry["fi_text"] = str(cell.fi) if cell.fi is not None else f"> {dataset.num_censored}"
-            entry["fq"] = _fraction_json(None if cell.fi is None else Fraction(cell.fi, dataset.n))
+            entry["fq"] = _fraction_json(None if cell.fi is None else fragility_quotient(cell.fi, dataset.n))
         cells.append(entry)
     report = _report(
         input={"path": str(args.csv), "sha256": sha256},

@@ -141,7 +141,7 @@ def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityR
         trajectory=tuple(trajectory),
         initial_prob=initial_prob,
         censored_count=data.num_censored,
-        fq=Fraction(fi, data.n) if fi is not None else None,
+        fq=fragility_quotient(fi, data.n) if fi is not None else None,
         config=config,
     )
 

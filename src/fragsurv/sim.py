@@ -24,8 +24,9 @@ __all__ = ["SplitMix64", "SimSpec", "simulate_trial", "fi_distribution"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_LARGEST_LOG_DRAW = -math.log(2.0**-54)  # uniform() is never below 2^-54
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+_LARGEST_LOG_DRAW = -math.log(2.0**-54)  # uniform() is never below 2^-54
+_SMALLEST_LOG_DRAW = -math.log(_BELOW_ONE)  # nor above 1 - 2^-53; this is 2^-53
 _BLOCK = 1024  # draws per _uniforms call; 512 is slower, and 2048 and 4096 are no faster
 # The low 64-bit word of each 128-bit slot, read as machine words from the native byte order.
 _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
@@ -66,6 +67,8 @@ class SimSpec:
 
     Censoring is either administrative (cutoff at censor_time) or independent
     exponential (rate censor_rate); leave both unset for fully observed data.
+    A rate must keep every draw -ln(U) / rate, U in [2^-54, 1 - 2^-53], a
+    positive finite double: above 2.0821099566085722e-307 and below 2^1022.
     """
 
     n: int
@@ -87,6 +90,8 @@ class SimSpec:
         for name, rate in (("event_rate", self.event_rate), ("censor_rate", self.censor_rate)):
             if rate is not None and math.isinf(_LARGEST_LOG_DRAW / rate):
                 raise ValueError(f"{name} {rate!r} is too small: the largest draw -ln(2^-54) / rate overflows")
+            if rate is not None and _SMALLEST_LOG_DRAW / rate == 0.0:
+                raise ValueError(f"{name} {rate!r} is too large: the smallest draw -ln(1 - 2^-53) / rate rounds to 0")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -157,7 +162,7 @@ def _observed(spec: SimSpec, states: Iterable[int]):
 
 def simulate_trial(spec: SimSpec) -> SurvivalDataset:
     """One dataset of `spec.n` subjects drawn from the stream of `spec.seed`, in blocks of
-    `_observed`; identical seeds give bit-identical datasets. A time of 0 raises ValueError."""
+    `_observed`; identical seeds give bit-identical datasets."""
     times, events = [], bytearray()
     for block_times, block_events, _ in _observed(spec, [spec.seed]):
         times += block_times
@@ -185,20 +190,20 @@ def fi_distribution(
     Replication i uses substream i of the seed, so prefixes agree across
     different replication counts. Builds no dataset: `crossing_fi` takes each
     replication's event count and total time, the latter a row-order `reduce`
-    as in SurvivalDataset (`sum()` is compensated from Python 3.12 on)."""
+    as in SurvivalDataset (`sum()` is compensated from Python 3.12 on).
+    SimSpec keeps every time positive and finite, so "error" comes from the
+    search alone: an overflowing total or a shape outside the kernel's domain."""
     if not (isinstance(replications, int) and replications >= 1):
         raise ValueError(f"replications must be a positive integer, got {replications!r}")
     counts: Counter[int | str] = Counter()
     # a replication longer than one block carries its running statistics into the next
-    events, total_time, valid, seen = 0, 0.0, True, 0
+    events, total_time, seen = 0, 0.0, 0
     for times, flags, subjects in _observed(spec, (substream_seed(spec.seed, i) for i in range(replications))):
         for k in range(0, len(times), subjects):
-            piece = times[k:k + subjects]
             events += flags.count(1, k, k + subjects)
-            total_time = reduce(add, piece, total_time)
-            valid = valid and min(piece) > 0.0
+            total_time = reduce(add, times[k:k + subjects], total_time)
             seen += subjects
             if seen == spec.n:
-                counts[_fi_outcome(events, total_time, spec.n - events, config) if valid else "error"] += 1
-                events, total_time, valid, seen = 0, 0.0, True, 0
+                counts[_fi_outcome(events, total_time, spec.n - events, config)] += 1
+                events, total_time, seen = 0, 0.0, 0
     return dict(counts)

@@ -98,8 +98,9 @@ def exhaustive_fi(data: SurvivalDataset, config: AnalysisConfig) -> int | str:
 
 def fi_histogram_reference(spec: SimSpec, config: AnalysisConfig, reps: int) -> dict[int | str, int]:
     """fi_distribution's histogram from `simulate_trial` and `fragility_index`
-    per replication, with the kernel evaluated at every flip. A replication
-    whose dataset cannot be built (a time that underflows to 0) is an error."""
+    per replication, with the kernel evaluated at every flip. SimSpec keeps
+    every time positive and finite, so the ValueError left to count as an
+    error is the posterior's: a total follow-up time that overflows."""
     counts: Counter[int | str] = Counter()
     for i in range(reps):
         try:

@@ -31,10 +31,12 @@ from fragsurv.cli import (
 )
 from fragsurv.km import km_estimate, km_to_plot_points
 from fragsurv.sim import SimSpec, simulate_trial
+from fragsurv.specfun import BracketError, ConvergenceError
 
 
 DATA = Path(__file__).parent / "data"
 HELP = DATA / "help"
+_TOP_LATTICE_SEED = 17685126244420568887  # its first uniform() is 1 - 2^-53, so its first time is the smallest
 
 
 @pytest.fixture
@@ -286,9 +288,24 @@ class TestIngestParsers:
         # no per-row check in the bulk path: the dataset's constructor rejects these times
         for body in ["nan,1\n", "inf,0\n", "0,1\n", "-2,0\n"]:
             assert cli._bulk_columns("time,status\n2,1\n" + body, "months") is None
-        assert cli._bulk_columns("time,status\n1e308,1\n1e308,0\n", "months") is None  # total overflows
+        # a total that overflows is ingest_csv's to reject, whichever parser ran
+        assert math.isinf(cli._bulk_columns("time,status\n1e308,1\n1e308,0\n", "months").total_time)
         assert cli._bulk_columns("5\n1,1,1", "months") is None
         assert cli._bulk_columns("time,status\n5\n1,1,1\n", "months") is None
+
+    def test_an_overflowing_total_is_checked_once_after_either_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.csv"
+        path.write_text('time,status\n"1e308",1\n1e308,0\n', encoding="utf-8")  # a quoted cell: the row parser
+        with pytest.raises(IngestError, match="total follow-up time overflows$"):
+            ingest_csv(path)
+
+        def no_row_parse(*args):
+            raise AssertionError("a well-formed CSV is parsed by the bulk path alone")
+
+        monkeypatch.setattr(cli, "_parse_rows", no_row_parse)
+        path.write_text("time,status\n1e308,1\n1e308,0\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="total follow-up time overflows$"):
+            ingest_csv(path)
 
 
 class TestFiCommand:
@@ -649,6 +666,21 @@ class TestSimulateCommand:
         assert captured.err.startswith("fragsurv: input-error: ")
         assert "rate 1e-320 is too small" in captured.err
 
+    @pytest.mark.parametrize("rates", [["--rate", "1e308"], ["--rate", "1", "--censor-rate", "1e308"]])
+    def test_rate_whose_smallest_draw_rounds_to_0_is_input_error(self, capsys, rates):
+        argv = ["simulate", "--n", "3", *rates, "--seed", str(_TOP_LATTICE_SEED)]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = "censor_rate" if "--censor-rate" in rates else "event_rate"
+        assert captured.err.startswith(f"fragsurv: input-error: {name} 1e+308 is too large: ")
+
+    def test_the_largest_accepted_rate_writes_the_least_positive_double(self, capsys):
+        # 4.4942328371557893e+307 is the double just below 2^1022
+        argv = ["simulate", "--n", "3", "--rate", "4.4942328371557893e+307", "--seed", str(_TOP_LATTICE_SEED)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.split("\n")[1] == "5e-324,1"
+
 
 class TestReproducePaper:
     def test_bundle_contents_and_mismatch_reporting(self, capsys):
@@ -693,6 +725,15 @@ class TestReproducePaper:
         assert report["posterior"]["shape"] == 22.5
         # strict below-p0 crossing: one step past the published index of 5
         assert report["fragility"]["fi"] == 6
+
+    def test_an_initial_probability_off_the_published_one_is_a_mismatch(self, capsys, monkeypatch):
+        calibrate = cli.calibrate
+        monkeypatch.setattr(cli, "calibrate", lambda *args: 1.1 * calibrate(*args))
+        assert main(["reproduce-paper"]) == EXIT_NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert [c["initial_probability_matches"] for c in json.loads(captured.out)["cases"]] == [False] * 3
+        assert "fragsurv: reproduction-mismatch: lung-cancer: calibrated initial probability " in captured.err
+        assert "differs from published 0.935\n" in captured.err
 
     def test_trajectories_strictly_decreasing(self):
         bundle, _ = run_reproduce_paper()
@@ -941,6 +982,27 @@ class TestExitCodes:
         if command.endswith("no-events") and flag == "--prior-shape":
             # a shape below 2**-1022 stays the posterior shape without events: outside the kernel's domain
             assert codes["5e-324"] == EXIT_INPUT_ERROR
+
+    def test_a_convergence_error_is_a_numerical_error(self, demo_csv, capsys, monkeypatch):
+        def failing(*args):
+            raise ConvergenceError("continued fraction did not converge", 7)
+
+        monkeypatch.setattr(cli, "fragility_index", failing)
+        assert main(["fi", demo_csv, "--t0", "2"]) == EXIT_NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fragsurv: numerical-error: continued fraction did not converge (after 7 iterations)\n")
+
+    def test_a_bracket_error_is_a_numerical_error(self, capsys, monkeypatch):
+        def failing(*args):
+            raise BracketError("no sign change")
+
+        monkeypatch.setattr(cli, "calibrate", failing)
+        assert main(["reproduce-paper"]) == EXIT_NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fragsurv: numerical-error: no sign change\n"
 
 
 class TestEndToEnd:

@@ -17,7 +17,7 @@ from fragsurv.fragility import (
     fragility_quotient,
     sensitivity_scan,
 )
-from fragsurv.specfun import reg_lower_inc_gamma
+from fragsurv.specfun import BracketError, reg_lower_inc_gamma
 from fragsurv.survival import (
     LN2,
     AnalysisConfig,
@@ -294,6 +294,15 @@ class TestCalibrate:
     def test_rejects_degenerate_targets(self, target):
         with pytest.raises(ValueError):
             calibrate(1.0, target, 1.0)
+
+    def test_rejects_a_t0_of_zero(self):
+        with pytest.raises(ValueError, match="t0 must be > 0"):
+            calibrate(1.0, 0.5, 0.0)
+
+    def test_a_rate_past_200_doublings_is_a_bracket_error(self):
+        # P(1, b ln 2 / 1e300) stays below 0.5 for every b up to 2^200
+        with pytest.raises(BracketError, match="within 200 doublings"):
+            calibrate(1.0, 0.5, 1e300)
 
     @given(
         shape=st.floats(min_value=0.5, max_value=80.0),

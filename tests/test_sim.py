@@ -1,5 +1,7 @@
 import math
+import re
 import statistics
+import sys
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from oracles import fi_histogram_reference
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_LARGEST_RATE = math.nextafter(2.0**1022, 0.0)  # the largest rate whose smallest draw is above 0
 
 
 def _unxorshift(y: int, shift: int) -> int:
@@ -133,6 +136,19 @@ class TestSimSpec:
         with pytest.raises(ValueError):
             SimSpec(**kwargs)
 
+    @pytest.mark.parametrize("rate", [2.0**1022, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("name", ["event_rate", "censor_rate"])
+    def test_rejects_a_rate_whose_smallest_draw_rounds_to_0(self, name, rate):
+        # the smallest draw -ln(1 - 2^-53) / rate is 2^-53 / rate, which rounds to 0 from 2^1022 on
+        rates = {"event_rate": 1.0, name: rate}
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} {rate!r} is too large: ")):
+            SimSpec(n=5, **rates)
+
+    def test_the_largest_accepted_rate_gives_the_least_positive_double(self):
+        # the stream starts at the top lattice point, whose draw 2^-53 / (2^1022 - ulp) is 5e-324
+        spec = SimSpec(n=3, event_rate=_LARGEST_RATE, seed=_seed_for_first_draw(2**53 - 1))
+        assert simulate_trial(spec).times[0] == 5e-324
+
 
 class TestSimulateTrial:
     def test_identical_seed_identical_dataset(self):
@@ -205,12 +221,6 @@ class TestSimulateTrialEqualsScalarDraws:
         spec = SimSpec(n=40, event_rate=0.1, seed=2**64 + 123, **censoring)
         config = AnalysisConfig(t0=5.0)
         assert fi_distribution(spec, config, 30) == fi_distribution(replace(spec, seed=123), config, 30)
-
-    def test_an_underflowing_time_raises(self):
-        # the top lattice point gives -ln(U) ~ 2^-53, and 2^-53 / 1e308 rounds to 0
-        seed = _seed_for_first_draw(2**53 - 1)
-        with pytest.raises(ValueError, match="observation time must be finite and > 0, got 0.0"):
-            simulate_trial(SimSpec(n=5, event_rate=1e308, seed=seed))
 
 
 class TestFiDistribution:
@@ -339,14 +349,15 @@ class TestFiDistributionEqualsReference:
             datasets = [simulate_trial(replace(spec, seed=substream_seed(spec.seed, i))) for i in range(reps)]
             assert seen == [(d.num_events, d.total_time.hex(), d.num_censored) for d in datasets], n
 
-    def test_an_underflowing_time_is_an_error_of_that_replication_only(self):
-        # replication 0 starts at the top lattice point, whose time ~2^-53 / 1e308 rounds to 0
+    @pytest.mark.parametrize("censoring", [{}, {"censor_rate": _LARGEST_RATE}])
+    def test_the_largest_accepted_rate_is_no_error(self, censoring):
+        # replication 0 starts at the top lattice point, whose time 2^-53 / (2^1022 - ulp) is 5e-324
         seed = (_unmix64(_seed_for_first_draw(2**53 - 1)) - _GOLDEN) & _MASK64
-        spec = SimSpec(n=20, event_rate=1e308, seed=seed)
+        spec = SimSpec(n=20, event_rate=_LARGEST_RATE, seed=seed, **censoring)
         config = AnalysisConfig(t0=1e-300)
         counts = fi_distribution(spec, config, 30)
         assert counts == fi_histogram_reference(spec, config, 30)
-        assert counts["error"] == 1
+        assert "error" not in counts
 
     def test_overflowing_total_time_is_an_error(self):
         # each draw is finite, but 500 of them at rate 1e-306 sum past the largest double

@@ -9,9 +9,7 @@
 under DIR, calls `fragsurv.cli.main(argv)` in-process for each, and records
 the exit code and the sha256 of stdout, stderr and every output file. Two
 runs with the same DIR see the same paths, so their records compare byte for
-byte. Each output file also gets a second digest with the `survival_exact`
-lines of a JSON KM block removed, so `compare` can tell an op whose only
-change is that field from any other difference.
+byte.
 
 `run` then calls `main` on each argv of tests/data/help/cases.json (help,
 usage errors and the version), which the benchmark never runs, with
@@ -56,10 +54,6 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _without_exact(data: bytes) -> bytes:
-    return b"\n".join(line for line in data.split(b"\n") if b'"survival_exact": ' not in line)
-
-
 def _call_main(argv: list[str]) -> tuple[int, bytes, bytes]:
     from fragsurv.cli import main
 
@@ -102,7 +96,7 @@ def run(seed: int, work: Path, keep: Path) -> list[dict]:
         for path in outputs:
             p = Path(path)
             data = p.read_bytes() if p.exists() else b""
-            files[p.name] = [_sha(data), _sha(_without_exact(data))]
+            files[p.name] = _sha(data)
             emitted[p.name] = data
             p.unlink(missing_ok=True)
         kept = keep.resolve() / str(len(records))
@@ -201,22 +195,18 @@ def compare(a: list[dict], b: list[dict]) -> int:
             same += 1
             continue
         streams = [k for k in ("exit", "stdout", "stderr") if ra[k] != rb[k]]
-        raw = [f for f in ra["files"] if ra["files"][f][0] != rb["files"][f][0]]
-        only_exact = raw and not streams and all(ra["files"][f][1] == rb["files"][f][1] for f in raw)
-        if only_exact:
-            what = "survival_exact only"
+        files = [f for f in ra["files"] if ra["files"][f] != rb["files"][f]]
+        diff = _value_diff(ra, rb, [s for s in streams if s != "exit"] + files)
+        moved = (f"{diff.floats} floats moved, max |delta| {diff.max_float:.3g}, "
+                 f"max rel {diff.max_rel:.3g}"
+                 if diff.floats else "no float moved")
+        if diff.other:
+            what = "; ".join([moved, *diff.other])
         else:
-            diff = _value_diff(ra, rb, [s for s in streams if s != "exit"] + raw)
-            moved = (f"{diff.floats} floats moved, max |delta| {diff.max_float:.3g}, "
-                     f"max rel {diff.max_rel:.3g}"
-                     if diff.floats else "no float moved")
-            if diff.other:
-                what = "; ".join([moved, *diff.other])
-            else:
-                what = f"floats only: {moved}"
-                floats_only += 1
-                worst = max(worst, diff.max_float)
-                worst_rel = max(worst_rel, diff.max_rel)
+            what = f"floats only: {moved}"
+            floats_only += 1
+            worst = max(worst, diff.max_float)
+            worst_rel = max(worst_rel, diff.max_rel)
         print(f"{ra['workload']}: {ra['op']}: {what}")
     print(f"{same} of {len(a)} ops byte-identical")
     print(f"{floats_only} of {len(a)} ops differ in float values only "
