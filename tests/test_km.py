@@ -58,6 +58,17 @@ class TestKmEstimate:
                 assert type(survival) is float
                 assert abs(survival - exact) <= 1e-12 * exact
 
+    def test_float_product_above_300_subjects_is_the_running_product_bit_for_bit(self):
+        rng = random.Random(2000)
+        for n in (301, 302, rng.randint(303, 1999), 2000):
+            times = [rng.randint(1, 80) * 0.5 for _ in range(n)]  # ties within and across kinds
+            data = SurvivalDataset(times, [rng.randint(0, 1) for _ in range(n)])
+            running, expected = 1.0, []
+            for _, _, at_risk, d in km_recount(data):
+                running *= (at_risk - d) / at_risk
+                expected.append(running.hex())
+            assert [survival.hex() for survival in km_estimate(data).survival] == expected
+
     @pytest.mark.parametrize("n,kind", [(300, Fraction), (301, float)])
     def test_survival_is_exact_up_to_300_subjects(self, n, kind):
         data = SurvivalDataset([1.0 + i % 7 for i in range(n)], [1] * n)
