@@ -605,7 +605,7 @@ def _cmd_km(args) -> int:
 
 
 def _parse_grid(spec: str) -> dict[str, list[float]]:
-    """'name=v1,v2,...;name=...' as a dict; sensitivity_scan checks the names and values."""
+    """'name=v1,v2,...;name=...' as a dict of finite values; sensitivity_scan checks the names and ranges."""
     axes: dict[str, list[float]] = {}
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -618,9 +618,12 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
         if name in axes:
             raise IngestError(f"--grid: axis {name!r} given twice")
         try:
-            axes[name] = [float(v) for v in values_text.split(",") if v.strip()]
+            values = [float(v) for v in values_text.split(",") if v.strip()]
         except ValueError:
             raise IngestError(f"--grid: invalid number in {chunk!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise IngestError(f"--grid: non-finite number in {chunk!r}")
+        axes[name] = values
     return axes
 
 

@@ -16,7 +16,7 @@ after k flips is P(shape + k, rate ln 2 / t0).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -243,12 +243,7 @@ def _evaluate_cell(
             params.get("prior_shape", base.prior.shape),
             params.get("prior_rate", base.prior.rate),
         )
-        config = replace(
-            base,
-            t0=params.get("t0", base.t0),
-            p0=params.get("p0", base.p0),
-            prior=prior,
-        )
+        config = AnalysisConfig(params.get("t0", base.t0), params.get("p0", base.p0), prior)
         initial_prob, fi = crossing_fi(*stats, config)
     except NotFragileApplicableError as exc:
         return GridCell(params, "not_applicable", initial_prob=exc.initial_prob)

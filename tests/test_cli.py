@@ -576,7 +576,10 @@ class TestSensitivityCommand:
         ("p0", "expected name=v1,v2,... in 'p0'"),
         ("p0=0.6,x", "invalid number in 'p0=0.6,x'"),
         ("p0=0.6;p0=0.7,0.8", "axis 'p0' given twice"),
-    ], ids=["unknown", "empty", "none", "no-equals", "not-a-number", "repeated"])
+        ("p0=nan", "non-finite number in 'p0=nan'"),
+        ("p0=0.6;t0=inf,2", "non-finite number in 't0=inf,2'"),
+        ("prior_rate=1e400", "non-finite number in 'prior_rate=1e400'"),
+    ], ids=["unknown", "empty", "none", "no-equals", "not-a-number", "repeated", "nan", "inf", "overflow"])
     def test_grid_error_message(self, demo_csv, capsys, grid, message):
         assert main(["sensitivity", demo_csv, "--t0", "2", "--grid", grid]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
