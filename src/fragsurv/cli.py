@@ -15,8 +15,10 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -80,7 +82,8 @@ def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
     """The dataset of a CSV whose every data line is `<time>,0` or `<time>,1`, cut with string
     operations; None for any other text or any rejected dataset, which _parse_rows then reports."""
     header, _, body = text.replace("\r\n", "\n").partition("\n")
-    if header.lower() != "time,status" or "\r" in body:
+    # float() also reads digits of other scripts and `_` between digits; _parse_rows rejects those times
+    if header.lower() != "time,status" or "\r" in body or not body.isascii() or "_" in body:
         return None
     if not body.endswith("\n"):
         body += "\n"
@@ -119,6 +122,8 @@ def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
                 raise bad_row(f"expected 2 columns, got {len(row)}")
             time_text, status_text = row[0].strip(), row[1].strip()
             try:
+                if not time_text.isascii() or "_" in time_text:  # float() would read `١٢` or `1_0`
+                    raise ValueError
                 time = float(time_text)
             except ValueError:
                 raise bad_row(f"column 1: invalid time {time_text!r}") from None
@@ -141,11 +146,12 @@ def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
 
 def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
     """Write a dataset back out in the same `time,status` format ingest_csv reads."""
-    Path(path).write_text(_csv_text(dataset), encoding="utf-8")
+    _emit(_csv_chunks(dataset), path)
 
 
-def _csv_text(dataset: SurvivalDataset) -> str:
-    return "time,status\n" + "".join(f"{t!r},{e}\n" for t, e in zip(dataset.times, dataset.events))
+def _csv_chunks(dataset: SurvivalDataset) -> Iterator[str]:
+    yield "time,status\n"
+    yield from _format_rows("%r,%d\n", zip(dataset.times, dataset.events))
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +181,20 @@ def _fragility_json(result: FragilityResult) -> dict:
         "attained": result.attained,
         "censored_count": result.censored_count,
         "fq": _fraction_json(result.fq),
-        "trajectory": [{"k": k, "probability": p} for k, p in result.trajectory],
+        "trajectory": RowTable.of_tuples(("k", "probability"), result.trajectory),
     }
 
 
 def _km_json(dataset: SurvivalDataset) -> dict:
     curve = km_estimate(dataset)
-    columns = zip(curve.times, curve.survival, curve.at_risk, curve.events)
     if curve.survival and isinstance(curve.survival[0], Fraction):  # the exact product, to 300 subjects
-        steps = [
-            {"time": t, "survival": float(s), "survival_exact": f"{s.numerator}/{s.denominator}",
-             "at_risk": at_risk, "events": d}
-            for t, s, at_risk, d in columns
-        ]
+        steps = RowTable(("time", "survival", "survival_exact", "at_risk", "events"), curve.times,
+                         list(map(float, curve.survival)),
+                         [f"{s.numerator}/{s.denominator}" for s in curve.survival], curve.at_risk, curve.events)
     else:
-        steps = [{"time": t, "survival": s, "at_risk": at_risk, "events": d} for t, s, at_risk, d in columns]
-    return {"steps": steps, "censor_marks": list(curve.censor_marks)}
+        steps = RowTable(("time", "survival", "at_risk", "events"),
+                         curve.times, curve.survival, curve.at_risk, curve.events)
+    return {"steps": steps, "censor_marks": RowTable(None, curve.censor_marks)}
 
 
 def _report(**fields) -> dict:
@@ -226,58 +230,100 @@ def build_report(
     )
 
 
-# Report keys whose lists hold only numbers, or flat dicts of numbers and "a/b" digit strings.
-_ROW_LISTS = frozenset(("steps", "censor_marks", "trajectory", "points", "censor_ticks"))
+# Rows formatted into one string at a time: a chunk of KM steps is about 0.3 MB.
+_CHUNK_ROWS = 2048
+
+
+class RowTable:
+    """A JSON list kept as columns, which the report writer formats a chunk of rows at a time.
+
+    With `keys`, row i is the object {keys[j]: columns[j][i]}; with keys None, it is
+    columns[0][i]. Cells are ints, finite floats, or strings that JSON writes as they
+    are (such as the "num/den" of an exact survival value). Iterating gives the rows.
+    """
+
+    def __init__(self, keys: tuple[str, ...] | None, *columns: Sequence):
+        self.keys, self.columns = keys, columns
+
+    @classmethod
+    def of_tuples(cls, keys: tuple[str, ...], rows: Sequence[tuple]) -> RowTable:
+        return cls(keys, *(list(zip(*rows)) or [()] * len(keys)))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator:
+        if self.keys is None:
+            return iter(self.columns[0])
+        return (dict(zip(self.keys, row)) for row in zip(*self.columns))
 
 
 def render_json(report: dict) -> str:
-    """`json.dumps(report, indent=2)` and a newline.
-
-    Before 3.13 json runs its pure-Python encoder whenever `indent` is set, so
-    there the report is laid out here, and the long row lists go through the
-    C encoder's compact form.
-    """
-    if sys.version_info >= (3, 13):
-        return json.dumps(report, indent=2) + "\n"
-    return _indented(report, "\n") + "\n"
+    """`json.dumps(report, indent=2)` and a newline, each RowTable written as the list of its rows."""
+    return "".join(_json_report(report))
 
 
-def _indented(value, newline: str) -> str:
-    """`value`, whose dicts have string keys, as json.dumps(indent=2) writes it at the depth whose line
-    breaks are `newline`."""
+def _json_report(report: dict) -> Iterator[str]:
+    """render_json's text in pieces, for _emit to write as they are made."""
+    yield from _json_chunks(report, "\n")
+    yield "\n"
+
+
+def _json_chunks(value, newline: str) -> Iterator[str]:
+    """`value`, whose dicts have string keys, in pieces as json.dumps(indent=2) writes it at the depth
+    whose line breaks are `newline`."""
     inner = newline + "  "
-    if isinstance(value, dict) and value:
-        return "{" + inner + ("," + inner).join(
-            json.dumps(key) + ": " + (_row_list(item, inner) if key in _ROW_LISTS else _indented(item, inner))
-            for key, item in value.items()
-        ) + newline + "}"
-    if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join(_indented(item, inner) for item in value) + newline + "]"
-    if type(value) is int or type(value) is float and math.isfinite(value):
-        return repr(value)  # what json writes, without building an encoder per number
-    return json.dumps(value)
+    if isinstance(value, RowTable) and len(value):
+        yield "["
+        yield from _format_rows(_row_template(value, inner), zip(*value.columns), ",")
+        yield newline + "]"
+    elif isinstance(value, dict) and value:
+        opener = "{" + inner
+        for key, item in value.items():
+            yield opener + json.dumps(key) + ": "
+            yield from _json_chunks(item, inner)
+            opener = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        opener = "[" + inner
+        for item in value:
+            yield opener
+            yield from _json_chunks(item, inner)
+            opener = "," + inner
+        yield newline + "]"
+    elif type(value) is int or type(value) is float and math.isfinite(value):
+        yield repr(value)  # what json writes, without building an encoder per number
+    else:
+        yield "[]" if isinstance(value, RowTable) else json.dumps(value)
 
 
-def _row_list(rows: list, newline: str) -> str:
-    """A row list as _indented writes it, from the C encoder's compact text.
+def _row_template(table: RowTable, newline: str) -> str:
+    """The %-template of one row of a non-empty table, at the depth whose line breaks are `newline`."""
+    cells = ['"%s"' if isinstance(column[0], str) else "%r" for column in table.columns]
+    if table.keys is None:
+        return newline + cells[0]
+    inner = newline + "  "
+    fields = ("," + inner).join(json.dumps(key) + ": " + cell for key, cell in zip(table.keys, cells))
+    return newline + "{" + inner + fields + newline + "}"
 
-    Numbers and digit strings hold no `{`, `}` or `, `, so each of these in the
-    compact text is layout: `, "` parts the fields of a row, `, ` the rows.
-    """
-    if not rows:
-        return "[]"
-    row, field = newline + "  ", newline + "    "
-    text = json.dumps(rows)[1:-1].replace(', "', "," + field + '"').replace('{"', "{" + field + '"')
-    return "[" + row + text.replace("}", row + "}").replace(", ", "," + row) + newline + "]"
+
+def _format_rows(template: str, rows: Iterable[tuple], separator: str = "") -> Iterator[str]:
+    """`separator.join(template % row for row in rows)`, made one chunk of _CHUNK_ROWS rows at a time."""
+    rows = iter(rows)
+    lead = ""
+    while chunk := separator.join(map(template.__mod__, islice(rows, _CHUNK_ROWS))):
+        yield lead
+        yield chunk
+        lead = separator
 
 
 def render_text(report: dict) -> str:
     """Human-oriented flat rendering; numbers are repr-exact but layout is unstable."""
     lines: list[str] = []
 
-    def walk(prefix: str, value: dict | list) -> None:
+    def walk(prefix: str, value: dict | list | RowTable) -> None:
         for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
-            if isinstance(sub, (dict, list)):
+            if isinstance(sub, (dict, list, RowTable)):
                 walk(f"{prefix}{key}.", sub)
             else:
                 lines.append(f"{prefix}{key}: {_text_scalar(sub)}")
@@ -552,15 +598,17 @@ def _analysis_config(args, dataset: SurvivalDataset | None = None) -> AnalysisCo
     return config
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | Path | None) -> None:
+    """Write the chunks to the file `out`, opened once, or to stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            file.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _render(report: dict, fmt: str) -> str:
-    return render_json(report) if fmt == "json" else render_text(report)
+def _render(report: dict, fmt: str) -> Iterable[str]:
+    return _json_report(report) if fmt == "json" else [render_text(report)]
 
 
 def _cmd_report(args) -> int:
@@ -594,13 +642,13 @@ def _cmd_km(args) -> int:
     curve = km_estimate(dataset)
     points, ticks = km_to_plot_points(curve)
     svg = render_km_svg(points, ticks, dataset.time_unit)
-    _emit(svg, args.out)
+    _emit([svg], args.out)
     if args.points_out:
         payload = {
-            "points": [{"time": x, "survival": y} for x, y in points],
-            "censor_ticks": [{"time": x, "survival": y} for x, y in ticks],
+            "points": RowTable.of_tuples(("time", "survival"), points),
+            "censor_ticks": RowTable.of_tuples(("time", "survival"), ticks),
         }
-        _emit(render_json(payload), args.points_out)
+        _emit(_json_report(payload), args.points_out)
     return EXIT_OK
 
 
@@ -687,7 +735,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         write_csv(dataset, args.out)
     else:
-        sys.stdout.write(_csv_text(dataset))
+        _emit(_csv_chunks(dataset), None)
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.dom import minidom
@@ -251,7 +252,7 @@ class TestIngestParsers:
             "bom": b"\xef\xbb\xbf" + lf.encode(),
             "no final newline": lf[:-1].encode(),
             "upper-case header": ("TIME,Status\n" + lf[12:]).encode(),
-            "integers and exponents": (lf + "2,1\n1e3,0\n1_5,1\n").encode(),
+            "integers and exponents": (lf + "2,1\n1e3,0\n").encode(),
             "trailing blank lines": (lf + "\n\n").encode(),
             "quoted cells": (lf + '"2",1\n"3","0"\n').encode(),
             "spaces": (lf + " 2 , 1\n3\t,0 \n").encode(),
@@ -272,7 +273,8 @@ class TestIngestParsers:
             if name in ("lf", "crlf", "bom", "no final newline", "upper-case header", "integers and exponents"):
                 assert cli._bulk_columns(text, "weeks") == rows, name
 
-    @pytest.mark.parametrize("cell", ["0x1p3", "abc", "", "nan", "inf", "-1", "0", "1e999", "2,1", '"2'])
+    @pytest.mark.parametrize("cell", ["0x1p3", "abc", "", "nan", "inf", "-1", "0", "1e999", "2,1", '"2',
+                                      "1_0", "\u0661\u0662", "\uff11"])
     def test_the_row_parser_reports_every_bad_time(self, tmp_path, cell):
         path = tmp_path / "d.csv"
         text = "time,status\n" + "\n".join(self._body(4, 50) + [f"{cell},1"]) + "\n"
@@ -283,6 +285,18 @@ class TestIngestParsers:
             cli._parse_rows(path, text, "months")
         assert str(bulk.value) == str(rows.value)
         assert "row 52: " in str(bulk.value)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", " 1_0 "])
+    def test_python_only_number_syntax_is_an_input_error(self, tmp_path, capsys, cell):
+        # float() reads 1_0 as 10 and Arabic-Indic digits as 12; the bulk path leaves such text to _parse_rows
+        text = f"time,status\n2,1\n{cell},0\n"
+        assert cli._bulk_columns(text, "months") is None
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(path), "--t0", "2"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fragsurv: input-error: {path}: row 3: column 1: invalid time {cell.strip()!r}\n"
 
     def test_the_constructor_checks_the_bulk_columns(self):
         # no per-row check in the bulk path: the dataset's constructor rejects these times
@@ -621,12 +635,16 @@ class TestSimulateCommand:
         main(["simulate", "--n", "10", "--rate", "0.5", "--seed", "4"])
         assert capsys.readouterr().out == first
 
-    def test_stdout_csv_equals_the_out_file(self, tmp_path, capsys):
-        argv = ["simulate", "--n", "30", "--rate", "0.3", "--censor-time", "4", "--seed", "2"]
+    @pytest.mark.parametrize("n", [1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 5])
+    def test_stdout_csv_equals_the_out_file(self, tmp_path, capsys, n):
+        argv = ["simulate", "--n", str(n), "--rate", "0.3", "--censor-time", "4", "--seed", "2"]
         out = tmp_path / "sim.csv"
         main(argv + ["--out", str(out)])
         main(argv)
-        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+        dataset = simulate_trial(SimSpec(n=n, event_rate=0.3, censor_time=4.0, seed=2))
+        expected = "time,status\n" + "".join(f"{t!r},{e}\n" for t, e in zip(dataset.times, dataset.events))
+        assert capsys.readouterr().out == expected
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_histogram_mode(self, capsys):
         code = main(
@@ -746,54 +764,101 @@ class TestReproducePaper:
 
 
 class TestRenderJson:
-    """render_json writes what json.dumps(indent=2) writes, whichever encoder the interpreter has."""
+    """Every JSON report, returned by render_json or written by a command, is json.dumps(indent=2) of the
+    report with each row table expanded into its list of rows."""
 
     UNIT = 'w}, "k\\s\u00e9'
     PATH = 'dir/a "b\\c}, "d\u00e9 \u2028{.csv'
 
-    def _reports(self):
+    @staticmethod
+    def _expected(report: dict) -> str:
+        return json.dumps(report, indent=2, default=list) + "\n"  # `list` expands a RowTable into its rows
+
+    def _assert_written_as_json_dumps(self, report: dict, tmp_path) -> None:
+        expected = self._expected(report)
+        assert cli.render_json(report) == expected
+        out = tmp_path / "report.json"
+        cli._emit(cli._json_report(report), str(out))
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def _report(self, dataset):
         from fragsurv.fragility import fragility_index
-        from fragsurv.survival import AnalysisConfig, GammaParams, posterior_update
+        from fragsurv.survival import AnalysisConfig, posterior_update
 
         config = AnalysisConfig(t0=8.0)
+        posterior = posterior_update(config.prior, dataset)
+        try:
+            result = fragility_index(dataset, config)
+            prob, fragility = result.initial_prob, cli._fragility_json(result)
+        except cli.NotFragileApplicableError as exc:
+            prob, fragility = exc.initial_prob, {"applicable": False}
+        return cli.build_report(dataset, config, self.PATH, "0" * 64, posterior, prob, fragility,
+                                cli._km_json(dataset))
+
+    def test_equals_json_dumps_at_300_and_301_subjects(self, tmp_path):
+        reports = []
         for n in (300, 301):
             trial = simulate_trial(SimSpec(n=n, event_rate=0.08, censor_rate=0.04, seed=n))
             for events in (trial.events, b"\x01" * n):  # the second has no censor marks and no index
-                dataset = cli.SurvivalDataset(trial.times, events, self.UNIT)
-                posterior = posterior_update(config.prior, dataset)
-                try:
-                    result = fragility_index(dataset, config)
-                    prob, fragility = result.initial_prob, cli._fragility_json(result)
-                except cli.NotFragileApplicableError as exc:
-                    prob, fragility = exc.initial_prob, {"applicable": False}
-                yield cli.build_report(dataset, config, self.PATH, "0" * 64, posterior, prob, fragility,
-                                       cli._km_json(dataset))
-
-    def test_equals_json_dumps_at_300_and_301_subjects(self):
-        reports = list(self._reports())
+                reports.append(self._report(cli.SurvivalDataset(trial.times, events, self.UNIT)))
         assert [len(r["km"]["censor_marks"]) > 0 for r in reports] == [True, False, True, False]
         assert [r["fragility"]["applicable"] for r in reports] == [True, False, True, False]
-        assert ["survival_exact" in r["km"]["steps"][0] for r in reports] == [True, True, False, False]
+        assert ["survival_exact" in r["km"]["steps"].keys for r in reports] == [True, True, False, False]
         for report in reports:
-            expected = json.dumps(report, indent=2) + "\n"
-            assert cli.render_json(report) == expected
-            assert cli._indented(report, "\n") + "\n" == expected  # the layout used before 3.13
+            self._assert_written_as_json_dumps(report, tmp_path)
+
+    # (subjects, KM steps, rows per chunk): no row, one row, one full chunk and one row more, on both sides
+    # of the 300-subject limit of the exact KM product; the last case also has one chunk and one more
+    # row of censor marks.
+    @pytest.mark.parametrize("n,steps,chunk", [
+        *((n, steps, 7) for n in (300, 301) for steps in (0, 1, 7, 8)),
+        *((n, steps, cli._CHUNK_ROWS) for n in (300, 301) for steps in (0, 1)),
+        (cli._CHUNK_ROWS, cli._CHUNK_ROWS, cli._CHUNK_ROWS),
+        (2 * cli._CHUNK_ROWS + 2, cli._CHUNK_ROWS + 1, cli._CHUNK_ROWS),
+    ])
+    def test_row_counts_at_the_chunk_boundaries(self, tmp_path, monkeypatch, n, steps, chunk):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        times = [0.5 + i / 3 for i in range(n)]  # distinct, so the first `steps` events are one step each
+        report = self._report(cli.SurvivalDataset(times, b"\x01" * steps + b"\x00" * (n - steps), self.UNIT))
+        assert len(report["km"]["steps"]) == steps
+        assert len(report["km"]["censor_marks"]) == n - steps
+        self._assert_written_as_json_dumps(report, tmp_path)
 
     def test_every_command_report_equals_json_dumps(self, tmp_path, capsys):
         points = tmp_path / "points.json"
         assert main(["km", str(DATA / "cohort.csv"), "--points-out", str(points)]) == EXIT_OK
         capsys.readouterr()
         text = points.read_text(encoding="utf-8")
-        assert cli._indented(json.loads(text), "\n") + "\n" == text
-        argvs = [["analyze", str(DATA / "demo.csv"), "--t0", "2"],
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        argvs = [["fi", str(DATA / "cohort.csv"), "--t0", "8", "--with-km"],
+                 ["analyze", str(DATA / "demo.csv"), "--t0", "2"],
                  ["sensitivity", str(DATA / "demo.csv"), "--t0", "2", "--grid", "p0=0.3,0.7;prior_shape=0.5,-1"],
                  ["simulate", "--n", "50", "--rate", "0.1", "--censor-rate", "0.05", "--replications", "40",
                   "--t0", "5"],
                  ["reproduce-paper"]]
         for argv in argvs:
+            out = tmp_path / "report.json"
+            main(argv + ["--out", str(out)])
             main(argv)
-            out = capsys.readouterr().out
-            assert cli._indented(json.loads(out), "\n") + "\n" == out
+            text = capsys.readouterr().out
+            assert json.dumps(json.loads(text), indent=2) + "\n" == text
+            assert out.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("n", [24_000, 72_000])
+    def test_a_large_report_is_written_one_chunk_at_a_time(self, tmp_path, n):
+        # the traced peak while writing stays under one bound at every size, below the size of the
+        # report (about 1 MB on Python 3.11; a report built as one string peaks at twice its size)
+        times = [1.0 + i / 7 for i in range(n)]
+        report = {"km": cli._km_json(cli.SurvivalDataset(times, b"\x01\x01\x00" * (n // 3) + b"\x01" * (n % 3)))}
+        out = tmp_path / "km.json"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._json_report(report), str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size >= 2_000_000
+        assert peak < 1_500_000
 
 
 # Golden histogram file: the `fragsurv simulate` arguments that wrote it. At n = 1500 with
@@ -1006,6 +1071,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "fragsurv: numerical-error: no sign change\n"
+
+
+class TestOutFiles:
+    """Every value that can fail is computed before an output file is opened."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fi", "{bad}", "--t0", "2", "--with-km"],
+        ["fi", "{demo}", "--t0", "2", "--prior-shape", "-1"],
+        ["analyze", "{demo}", "--t0", "2", "--prior-shape", "9007199254740991", "--format", "text"],
+        ["sensitivity", "{demo}", "--t0", "2", "--grid", "p0=0.5;t0=nan"],
+        ["sensitivity", "{demo}", "--t0", "2", "--grid", "q0=0.5"],
+        ["km", "{bad}", "--points-out", "{points}"],
+        ["simulate", "--n", "5", "--rate", "1e308"],
+        ["simulate", "--n", "5", "--rate", "1", "--replications", "3"],
+    ])
+    def test_an_input_error_leaves_existing_out_files_untouched(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,status\n2,1\n1_0,0\n", encoding="utf-8")
+        out, points = tmp_path / "out", tmp_path / "points.json"
+        for path in (out, points):
+            path.write_bytes(b"an earlier report\n")
+        fields = {"bad": bad, "demo": DATA / "demo.csv", "points": points}
+        assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fragsurv: input-error: ")
+        assert out.read_bytes() == points.read_bytes() == b"an earlier report\n"
 
 
 class TestEndToEnd:
