@@ -251,3 +251,78 @@ class TestPosteriorProbMedianExceeds:
     def test_rejects_bad_threshold(self, t0):
         with pytest.raises(ValueError):
             posterior_prob_median_exceeds(GammaParams(1, 1), t0)
+
+
+class TestValueTypeContract:
+    """What callers rely on from the three value types: constructors, defaults, validation messages,
+    equality, hash, repr text and immutability."""
+
+    @staticmethod
+    def _values():
+        return [GammaParams(1, 2), AnalysisConfig(t0=7.0), SurvivalDataset([2, 3.5], [1, 0])]
+
+    def test_gamma_params(self):
+        params = GammaParams(1, 2)
+        assert (params.shape, params.rate) == (1.0, 2.0)
+        assert type(params.shape) is type(params.rate) is float
+        assert params == GammaParams(shape=1.0, rate=2.0) and hash(params) == hash((1.0, 2.0))
+        assert params != GammaParams(1, 3) and params != (1.0, 2.0)
+        assert repr(params) == "GammaParams(shape=1.0, rate=2.0)"
+
+    def test_analysis_config_defaults(self):
+        config = AnalysisConfig(7)
+        assert (config.t0, config.p0, config.prior) == (7.0, 0.7, GammaParams(0.5, 0.5))
+        assert type(config.t0) is float
+        assert config == AnalysisConfig(7.0, 0.7, GammaParams(0.5, 0.5))
+        assert hash(config) == hash((7.0, 0.7, GammaParams(0.5, 0.5)))
+        assert config != AnalysisConfig(7.0, 0.8) and config != AnalysisConfig(7.0, prior=GammaParams(1, 1))
+        assert repr(config) == "AnalysisConfig(t0=7.0, p0=0.7, prior=GammaParams(shape=0.5, rate=0.5))"
+        assert AnalysisConfig(t0=2, p0=0.5, prior=GammaParams(3, 4)).p0 == 0.5
+        with pytest.raises(TypeError):
+            AnalysisConfig()
+        with pytest.raises(TypeError):
+            AnalysisConfig(7.0, q0=0.5)
+
+    def test_survival_dataset(self):
+        data = SurvivalDataset([2, 3.5], [1, 0])
+        assert (data.times, data.events, data.time_unit) == ((2.0, 3.5), b"\x01\x00", "months")
+        assert (data.num_events, data.total_time) == (1, 5.5)
+        # equal columns from any iterables give equal datasets with equal hashes; the unit counts too
+        same = SurvivalDataset(iter([2.0, 3.5]), bytearray(b"\x01\x00"), "months")
+        assert data == same and hash(data) == hash(same) == hash(((2.0, 3.5), b"\x01\x00", "months"))
+        assert data != SurvivalDataset([2, 3.5], [1, 0], "weeks") and data != SurvivalDataset([2, 3.5], [0, 0])
+        assert data != ((2.0, 3.5), b"\x01\x00", "months")
+        assert repr(data) == "SurvivalDataset(times=(2.0, 3.5), events=b'\\x01\\x00', time_unit='months')"
+        assert len({data, same, SurvivalDataset([2, 3.5], [1, 0], time_unit="weeks")}) == 2
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_assignment_and_deletion_raise_attribute_error(self, index):
+        value = self._values()[index]
+        before = repr(value)
+        for name in [*vars(value), "new_attribute"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == before
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: GammaParams(0, 1), "Gamma shape must be finite and > 0, got 0"),
+        (lambda: GammaParams(1, math.nan), "Gamma rate must be finite and > 0, got nan"),
+        (lambda: GammaParams("1", 1), "Gamma shape must be finite and > 0, got '1'"),
+        (lambda: AnalysisConfig(t0=-1), "t0 must be finite and > 0, got -1"),
+        (lambda: AnalysisConfig(t0=math.inf), "t0 must be finite and > 0, got inf"),
+        (lambda: AnalysisConfig(t0=1, p0=1), "p0 must lie in (0, 1), got 1"),
+        (lambda: AnalysisConfig(t0=1, p0=None), "p0 must lie in (0, 1), got None"),
+        (lambda: SurvivalDataset([1.0], 1), "event indicators must be the integers 0 and 1"),
+        (lambda: SurvivalDataset([1.0], [0.5]), "event indicators must be the integers 0 and 1"),
+        (lambda: SurvivalDataset([1.0, 2.0], [1, 2]), "event indicator must be 0 or 1, got 2"),
+        (lambda: SurvivalDataset([1.0, 2.0], [1]), "2 times but 1 event indicators"),
+        (lambda: SurvivalDataset([], []), "a survival dataset must contain at least one observation"),
+        (lambda: SurvivalDataset([1.0, -0.0], [1, 0]), "observation time must be finite and > 0, got -0.0"),
+        (lambda: SurvivalDataset([1.0, "2"], [1, 0]), "observation time must be finite and > 0, got '2'"),
+    ])
+    def test_validation_messages(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
