@@ -8,32 +8,32 @@ survival time exceeding a threshold strictly below a confidence level.
 
 __version__ = "0.1.0"
 
-from .fragility import (
-    FragilityResult,
-    GridCell,
-    NotFragileApplicableError,
-    SensitivityGrid,
-    calibrate,
-    fragility_index,
-    fragility_quotient,
-    sensitivity_scan,
-)
-from .km import KMCurve, km_estimate, km_to_plot_points
-from .sim import SimSpec, SplitMix64, fi_distribution, simulate_trial
-from .specfun import (
-    BracketError,
-    ConvergenceError,
-    bisect_root,
-    reg_lower_inc_gamma,
-)
-from .survival import (
-    AnalysisConfig,
-    GammaParams,
-    SurvivalDataset,
-    log_likelihood,
-    posterior_prob_median_exceeds,
-    posterior_update,
-)
+# Each public name and its defining module, imported on first use (PEP 562), so that `python -m fragsurv`
+# loads only what the command runs.
+_EXPORTS = {
+    **dict.fromkeys(("FragilityResult", "GridCell", "SensitivityGrid", "calibrate", "fragility_index",
+                     "fragility_quotient", "sensitivity_scan"), "fragility"),
+    **dict.fromkeys(("KMCurve", "km_estimate", "km_to_plot_points"), "km"),
+    **dict.fromkeys(("SimSpec", "SplitMix64", "fi_distribution", "simulate_trial"), "sim"),
+    **dict.fromkeys(("BracketError", "ConvergenceError", "bisect_root", "reg_lower_inc_gamma"), "specfun"),
+    **dict.fromkeys(("AnalysisConfig", "GammaParams", "NotFragileApplicableError", "SurvivalDataset",
+                     "log_likelihood", "posterior_prob_median_exceeds", "posterior_update"), "survival"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __all__ = [
     "__version__",

@@ -1,6 +1,8 @@
 """Command-line front end: CSV in, JSON/text reports and SVG curves out.
 
-Subcommands: analyze, fi, km, sensitivity, simulate, reproduce-paper.
+Subcommands: analyze, fi, km, sensitivity, simulate, reproduce-paper. This module parses every
+command's arguments and runs analyze and fi; each other command's handler is in its own module under
+`fragsurv.commands`, imported only when that command runs.
 Exit codes: 0 success (including a not-attained index), 2 fragility index
 not applicable, 3 input error, 4 numerical or internal failure, or
 reproduction mismatch.
@@ -9,38 +11,31 @@ reproduction mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 from . import __version__
-from .fragility import (
-    FragilityResult,
-    NotFragileApplicableError,
-    SENSITIVITY_AXES,
-    calibrate,
-    fragility_index,
-    fragility_quotient,
-    sensitivity_scan,
-)
-from .km import km_estimate, km_to_plot_points
-from .sim import SimSpec, fi_distribution, simulate_trial
 from .specfun import MAX_SHAPE, MIN_SHAPE, BracketError, ConvergenceError
 from .survival import (
     AnalysisConfig,
     GammaParams,
+    NotFragileApplicableError,
     SurvivalDataset,
     posterior_prob_median_exceeds,
     posterior_update,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: analyze imports neither
+    from fractions import Fraction
+
+    from .fragility import FragilityResult
 
 EXIT_OK = 0
 EXIT_NOT_APPLICABLE = 2
@@ -78,6 +73,10 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> tuple[SurvivalDat
     return dataset, hashlib.sha256(data).hexdigest()
 
 
+# Characters of CSV body that _bulk_columns converts at once: their cell strings take about 8 MB.
+_SLICE_CHARS = 1 << 20
+
+
 def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
     """The dataset of a CSV whose every data line is `<time>,0` or `<time>,1`, cut with string
     operations; None for any other text or any rejected dataset, which _parse_rows then reports."""
@@ -91,10 +90,15 @@ def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
     lines = body.count("\n")
     if not (body.count(",") == lines == body.count(",0\n") + body.count(",1\n")):
         return None
-    cells = body[:-1].replace(",", "\n").split("\n")  # time, status, time, status, ...
+    times, events, status_bytes = [], bytearray(), bytes.maketrans(b"01", b"\x00\x01")
+    start = 0
     try:
-        times = list(map(float, cells[::2]))
-        events = "".join(cells[1::2]).encode().translate(bytes.maketrans(b"01", b"\x00\x01"))
+        while start < len(body):  # a slice of whole lines: up to the first line break past _SLICE_CHARS
+            end = body.find("\n", start + _SLICE_CHARS - 1) + 1 or len(body)
+            cells = body[start:end - 1].replace(",", "\n").split("\n")  # time, status, time, status, ...
+            times += map(float, cells[::2])
+            events += "".join(cells[1::2]).encode().translate(status_bytes)
+            start = end
         return SurvivalDataset(times, events, time_unit)
     except ValueError:
         return None
@@ -102,6 +106,8 @@ def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
 
 def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
     """The dataset of any CSV text, one csv.reader row at a time, or the IngestError naming the first bad row."""
+    import csv  # only a CSV that _bulk_columns leaves loads it
+
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()  # the line break that ends the last row
@@ -186,6 +192,10 @@ def _fragility_json(result: FragilityResult) -> dict:
 
 
 def _km_json(dataset: SurvivalDataset) -> dict:
+    from fractions import Fraction
+
+    from .km import km_estimate  # only --with-km loads the estimator and fractions
+
     curve = km_estimate(dataset)
     if curve.survival and isinstance(curve.survival[0], Fraction):  # the exact product, to 300 subjects
         steps = RowTable(("time", "survival", "survival_exact", "at_risk", "events"), curve.times,
@@ -319,17 +329,32 @@ def _format_rows(template: str, rows: Iterable[tuple], separator: str = "") -> I
 
 def render_text(report: dict) -> str:
     """Human-oriented flat rendering; numbers are repr-exact but layout is unstable."""
-    lines: list[str] = []
+    return "".join(_text_chunks(report, ""))
 
-    def walk(prefix: str, value: dict | list | RowTable) -> None:
-        for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
-            if isinstance(sub, (dict, list, RowTable)):
-                walk(f"{prefix}{key}.", sub)
-            else:
-                lines.append(f"{prefix}{key}: {_text_scalar(sub)}")
 
-    walk("", report)
-    return "\n".join(lines) + "\n"
+def _text_chunks(value: dict | list | RowTable, prefix: str) -> Iterator[str]:
+    """render_text's lines in pieces: `<prefix><key path>: <scalar>` for each scalar under `value`, each
+    RowTable formatted a chunk of rows at a time."""
+    if isinstance(value, RowTable):
+        if len(value):
+            rows = range(len(value))  # each row number, once before each of the row's cells
+            yield from _format_rows(_text_row_template(value, prefix),
+                                    zip(*(part for column in value.columns for part in (rows, column))))
+        return
+    for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
+        if isinstance(sub, (dict, list, RowTable)):
+            yield from _text_chunks(sub, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}: {_text_scalar(sub)}\n"
+
+
+def _text_row_template(table: RowTable, prefix: str) -> str:
+    """The %-template of the lines of one row of a non-empty table, which takes the row number before each cell."""
+    prefix = prefix.replace("%", "%%")
+    cells = ["%s" if isinstance(column[0], str) else "%r" for column in table.columns]
+    if table.keys is None:
+        return f"{prefix}%d: {cells[0]}\n"
+    return "".join(f"{prefix}%d.{key.replace('%', '%%')}: {cell}\n" for key, cell in zip(table.keys, cells))
 
 
 def _text_scalar(value) -> str:
@@ -340,176 +365,6 @@ def _text_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
-
-
-# ---------------------------------------------------------------------------
-# SVG staircase rendering
-
-_SVG_WIDTH = 640
-_SVG_HEIGHT = 480
-_MARGIN_LEFT = 70.0
-_MARGIN_RIGHT = 20.0
-_MARGIN_TOP = 20.0
-_MARGIN_BOTTOM = 55.0
-
-
-def render_km_svg(
-    points: list[tuple[float, float]],
-    censor_ticks: list[tuple[float, float]],
-    time_unit: str,
-) -> str:
-    """SVG 1.1 document with the staircase polyline and censor tick marks.
-
-    Data coordinates map linearly onto the plot area:
-    x_px = left + (t / t_max) * plot_width, y_px = top + (1 - s) * plot_height.
-    """
-    from html import escape  # imported here: it loads html.entities, which only km needs
-
-    plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-    t_max = max(x for x, _ in points)
-
-    def px(t: float) -> float:
-        return _MARGIN_LEFT + (t / t_max) * plot_w
-
-    def py(s: float) -> float:
-        return _MARGIN_TOP + (1.0 - s) * plot_h
-
-    e: list[str] = []
-    e.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">'
-    )
-    x0, y0 = px(0.0), py(0.0)
-    y1 = py(1.0)
-    e.append(f'<line x1="{x0:.3f}" y1="{y0:.3f}" x2="{px(t_max):.3f}" y2="{y0:.3f}" stroke="black"/>')
-    e.append(f'<line x1="{x0:.3f}" y1="{y0:.3f}" x2="{x0:.3f}" y2="{y1:.3f}" stroke="black"/>')
-
-    for i in range(5):
-        t = t_max * i / 4.0
-        x = px(t)
-        e.append(f'<line x1="{x:.3f}" y1="{y0:.3f}" x2="{x:.3f}" y2="{y0 + 5:.3f}" stroke="black"/>')
-        e.append(
-            f'<text x="{x:.3f}" y="{y0 + 18:.3f}" font-size="11" text-anchor="middle">{t:.6g}</text>'
-        )
-        s = i / 4.0
-        y = py(s)
-        e.append(f'<line x1="{x0 - 5:.3f}" y1="{y:.3f}" x2="{x0:.3f}" y2="{y:.3f}" stroke="black"/>')
-        e.append(
-            f'<text x="{x0 - 8:.3f}" y="{y + 4:.3f}" font-size="11" text-anchor="end">{s:.2f}</text>'
-        )
-
-    e.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.3f}" y="{_SVG_HEIGHT - 12:.3f}" '
-        f'font-size="13" text-anchor="middle">Time ({escape(time_unit, quote=False)})</text>'
-    )
-    e.append(
-        f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.3f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.3f})">Survival probability</text>'
-    )
-
-    path = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in points)
-    e.append(f'<polyline class="km-curve" fill="none" stroke="#1f5fa8" stroke-width="1.5" points="{path}"/>')
-    for t, s in censor_ticks:
-        x, y = px(t), py(s)
-        e.append(
-            f'<line class="censor-tick" x1="{x:.3f}" y1="{y - 4:.3f}" x2="{x:.3f}" y2="{y + 4:.3f}" '
-            f'stroke="#1f5fa8" stroke-width="1.5"/>'
-        )
-    e.append("</svg>")
-    return "\n".join(e) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Bundled case studies (reproduce-paper)
-
-
-@dataclass(frozen=True)
-class CaseStudy:
-    key: str
-    label: str
-    n: int
-    events: int
-    t0: float
-    reported_initial_prob: float
-    published_fi: int
-
-    @property
-    def censored(self) -> int:
-        return self.n - self.events
-
-
-CASE_STUDIES = (
-    CaseStudy("lung-cancer", "Advanced lung cancer, overall survival", 30, 22, 7.0, 0.935, 5),
-    CaseStudy("pembrolizumab-hcc", "Pembrolizumab in hepatocellular carcinoma, progression-free survival",
-              28, 20, 3.5, 0.958, 6),
-    CaseStudy("palbociclib-breast", "Palbociclib in metastatic breast cancer, progression-free survival",
-              51, 31, 15.0, 0.948, 6),
-)
-
-_CASE_PRIOR = GammaParams(0.5, 0.5)
-_CASE_P0 = 0.7
-_CASE_PROB_TOL = 1e-6
-
-
-def reconstruct_case_dataset(case: CaseStudy) -> SurvivalDataset:
-    """Dataset matching a case study's published summary statistics.
-
-    Only the event count and the total follow-up time enter the posterior,
-    so the individual times can be set uniformly: the posterior rate is
-    back-solved from the published initial probability and split evenly.
-    """
-    posterior_rate = calibrate(_CASE_PRIOR.shape + case.events, case.reported_initial_prob, case.t0)
-    per_subject = (posterior_rate - _CASE_PRIOR.rate) / case.n
-    return SurvivalDataset([per_subject] * case.n, [1] * case.events + [0] * case.censored)
-
-
-def run_reproduce_paper() -> tuple[dict, list[str]]:
-    """Re-run the three bundled case studies against their published values.
-
-    Returns the report bundle plus a list of mismatch descriptions (empty
-    when every computed value agrees with the published one).
-    """
-    mismatches: list[str] = []
-    cases = []
-    for case in CASE_STUDIES:
-        dataset = reconstruct_case_dataset(case)
-        config = AnalysisConfig(t0=case.t0, p0=_CASE_P0, prior=_CASE_PRIOR)
-        result = fragility_index(dataset, config)
-        fragility = _fragility_json(result)
-        prob_ok = abs(result.initial_prob - case.reported_initial_prob) <= _CASE_PROB_TOL
-        fi_ok = result.fi == case.published_fi
-        if not prob_ok:
-            mismatches.append(
-                f"{case.key}: calibrated initial probability {result.initial_prob!r} "
-                f"differs from published {case.reported_initial_prob!r}"
-            )
-        if not fi_ok:
-            mismatches.append(
-                f"{case.key}: computed FI {result.fi_text}, published {case.published_fi}"
-            )
-        cases.append(
-            {
-                "case": case.key,
-                "label": case.label,
-                "n": case.n,
-                "events": case.events,
-                "censored": case.censored,
-                "t0": case.t0,
-                "p0": _CASE_P0,
-                "prior_shape": _CASE_PRIOR.shape,
-                "prior_rate": _CASE_PRIOR.rate,
-                "reported_initial_probability": case.reported_initial_prob,
-                "computed_initial_probability": result.initial_prob,
-                "initial_probability_matches": prob_ok,
-                "published_fi": case.published_fi,
-                "computed_fi": result.fi,
-                "fi_matches_published": fi_ok,
-                "fq": fragility["fq"],
-                "trajectory": fragility["trajectory"],
-            }
-        )
-    return _report(cases=cases, all_match=not mismatches), mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +419,8 @@ def _add_km_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sensitivity_args(parser: argparse.ArgumentParser) -> None:
+    from .fragility import SENSITIVITY_AXES
+
     _add_csv_flags(parser)
     _add_config_flags(parser)
     parser.add_argument("--grid", required=True, help="axes as 'name=v1,v2,...;name=...' with names among "
@@ -608,7 +465,7 @@ def _emit(chunks: Iterable[str], out: str | Path | None) -> None:
 
 
 def _render(report: dict, fmt: str) -> Iterable[str]:
-    return _json_report(report) if fmt == "json" else [render_text(report)]
+    return _json_report(report) if fmt == "json" else _text_chunks(report, "")
 
 
 def _cmd_report(args) -> int:
@@ -621,6 +478,8 @@ def _cmd_report(args) -> int:
     if args.command == "analyze":
         initial_prob = posterior_prob_median_exceeds(posterior, config.t0)
     else:
+        from .fragility import fragility_index  # only fi loads the search, and dataclasses with it
+
         try:
             result = fragility_index(dataset, config)
             initial_prob, fragility = result.initial_prob, _fragility_json(result)
@@ -637,125 +496,16 @@ def _cmd_report(args) -> int:
     return EXIT_NOT_APPLICABLE
 
 
-def _cmd_km(args) -> int:
-    dataset, _ = ingest_csv(args.csv, args.time_unit)
-    curve = km_estimate(dataset)
-    points, ticks = km_to_plot_points(curve)
-    svg = render_km_svg(points, ticks, dataset.time_unit)
-    _emit([svg], args.out)
-    if args.points_out:
-        payload = {
-            "points": RowTable.of_tuples(("time", "survival"), points),
-            "censor_ticks": RowTable.of_tuples(("time", "survival"), ticks),
-        }
-        _emit(_json_report(payload), args.points_out)
-    return EXIT_OK
-
-
-def _parse_grid(spec: str) -> dict[str, list[float]]:
-    """'name=v1,v2,...;name=...' as a dict of finite values; sensitivity_scan checks the names and ranges."""
-    axes: dict[str, list[float]] = {}
-    for chunk in spec.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise IngestError(f"--grid: expected name=v1,v2,... in {chunk!r}")
-        name, _, values_text = chunk.partition("=")
-        name = name.strip()
-        if name in axes:
-            raise IngestError(f"--grid: axis {name!r} given twice")
-        try:
-            values = [float(v) for v in values_text.split(",") if v.strip()]
-        except ValueError:
-            raise IngestError(f"--grid: invalid number in {chunk!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise IngestError(f"--grid: non-finite number in {chunk!r}")
-        axes[name] = values
-    return axes
-
-
-def _cmd_sensitivity(args) -> int:
-    dataset, sha256 = ingest_csv(args.csv, args.time_unit)
-    base = _analysis_config(args)
-    axes = _parse_grid(args.grid)
-    try:
-        grid = sensitivity_scan(dataset, base, axes)
-    except ValueError as exc:
-        raise IngestError(f"--grid: {exc}") from None
-    cells = []
-    for cell in grid.cells:
-        entry: dict = {"params": cell.params, "status": cell.status}
-        if cell.status == "error":
-            entry["error"] = cell.error
-        else:
-            entry["initial_probability"] = cell.initial_prob
-        if cell.status == "ok":
-            entry["fi"] = cell.fi
-            entry["fi_text"] = str(cell.fi) if cell.fi is not None else f"> {dataset.num_censored}"
-            entry["fq"] = _fraction_json(None if cell.fi is None else fragility_quotient(cell.fi, dataset.n))
-        cells.append(entry)
-    report = _report(
-        input={"path": str(args.csv), "sha256": sha256},
-        base_config=_config_json(base),
-        axes={name: list(values) for name, values in grid.axes.items()},
-        cells=cells,
-    )
-    _emit(_render(report, args.format), args.out)
-    return EXIT_OK
-
-
-def _cmd_simulate(args) -> int:
-    try:
-        spec = SimSpec(
-            n=args.n,
-            event_rate=args.rate,
-            censor_time=args.censor_time,
-            censor_rate=args.censor_rate,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise IngestError(str(exc)) from None
-    if args.replications < 0:
-        raise IngestError(f"--replications must be >= 0, got {args.replications}")
-    if args.replications > 0:
-        if args.t0 is None:
-            raise IngestError("--replications requires --t0")
-        config = _analysis_config(args)
-        counts = fi_distribution(spec, config, args.replications)
-        ordered = {str(k): counts[k] for k in sorted(k for k in counts if isinstance(k, int))}
-        ordered.update((m, counts[m]) for m in ("not_attained", "not_applicable", "error") if m in counts)
-        report = _report(
-            spec=asdict(spec), config=_config_json(config), replications=args.replications, counts=ordered
-        )
-        _emit(_render(report, args.format), args.out)
-        return EXIT_OK
-
-    dataset = simulate_trial(spec)
-    if args.out:
-        write_csv(dataset, args.out)
-    else:
-        _emit(_csv_chunks(dataset), None)
-    return EXIT_OK
-
-
-def _cmd_reproduce(args) -> int:
-    bundle, mismatches = run_reproduce_paper()
-    _emit(_render(bundle, args.format), args.out)
-    for mismatch in mismatches:
-        sys.stderr.write(f"{_PROG}: reproduction-mismatch: {mismatch}\n")
-    return EXIT_NUMERICAL_ERROR if mismatches else EXIT_OK
-
-
-# name: (help, function adding its arguments, handler), in the order of the top-level help
+# name: (help, function adding its arguments, module of fragsurv.commands whose `run` handles it, or None
+# for _cmd_report here), in the order of the top-level help
 _COMMANDS = {
-    "analyze": ("posterior and exceedance probability, no fragility search", _add_report_args, _cmd_report),
-    "fi": ("full fragility-index report", _add_report_args, _cmd_report),
-    "km": ("Kaplan-Meier staircase as SVG", _add_km_args, _cmd_km),
-    "sensitivity": ("fragility index over a parameter grid", _add_sensitivity_args, _cmd_sensitivity),
-    "simulate": ("generate a synthetic trial, or a fragility histogram", _add_simulate_args, _cmd_simulate),
+    "analyze": ("posterior and exceedance probability, no fragility search", _add_report_args, None),
+    "fi": ("full fragility-index report", _add_report_args, None),
+    "km": ("Kaplan-Meier staircase as SVG", _add_km_args, "km"),
+    "sensitivity": ("fragility index over a parameter grid", _add_sensitivity_args, "sensitivity"),
+    "simulate": ("generate a synthetic trial, or a fragility histogram", _add_simulate_args, "simulate"),
     "reproduce-paper": ("re-run the three bundled case studies against published values",
-                        _add_output_flags, _cmd_reproduce),
+                        _add_output_flags, "reproduce"),
 }
 
 
@@ -785,7 +535,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _, _, handler = _COMMANDS[args.command]
+    module = _COMMANDS[args.command][2]
+    if module is None:
+        handler = _cmd_report
+    else:
+        from importlib import import_module
+
+        handler = import_module(f"{__package__}.commands.{module}").run
     try:
         return handler(args)
     except (IngestError, OSError) as exc:
@@ -807,4 +563,7 @@ def entrypoint() -> None:
 
 
 if __name__ == "__main__":
+    # Run the package's module, not this copy: the command modules raise its IngestError.
+    from fragsurv.cli import entrypoint
+
     entrypoint()

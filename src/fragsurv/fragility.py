@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .specfun import BracketError, ConvergenceError, bisect_root, reg_gamma_shape_step, reg_lower_inc_gamma
-from .survival import LN2, AnalysisConfig, GammaParams, SurvivalDataset
+from .survival import LN2, AnalysisConfig, GammaParams, NotFragileApplicableError, SurvivalDataset
 
 __all__ = [
     "NotFragileApplicableError",
@@ -45,18 +45,6 @@ _CALIBRATE_MAX_DOUBLINGS = 200
 # The recurrence stayed within 5.6e-13 of the kernel over 2314 seeded starts x 400
 # steps (a in [0.3, 7.5e5], x in [a - 10 sqrt(a), 50 a]); the kernel is pinned at 1e-12.
 _WINDOW = 1e-9
-
-
-class NotFragileApplicableError(Exception):
-    """The baseline probability does not exceed p0, so no index is defined."""
-
-    def __init__(self, initial_prob: float, p0: float):
-        super().__init__(
-            f"initial probability {initial_prob:.6f} does not exceed p0 {p0:.6f}; "
-            "fragility index undefined"
-        )
-        self.initial_prob = initial_prob
-        self.p0 = p0
 
 
 @dataclass(frozen=True)

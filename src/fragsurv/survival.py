@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .specfun import reg_lower_inc_gamma
 
 __all__ = [
+    "NotFragileApplicableError",
     "SurvivalDataset",
     "GammaParams",
     "AnalysisConfig",
@@ -28,8 +28,48 @@ __all__ = [
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True, init=False)
-class SurvivalDataset:
+class NotFragileApplicableError(Exception):
+    """The baseline probability does not exceed p0, so no index is defined."""
+
+    def __init__(self, initial_prob: float, p0: float):
+        super().__init__(
+            f"initial probability {initial_prob:.6f} does not exceed p0 {p0:.6f}; "
+            "fragility index undefined"
+        )
+        self.initial_prob = initial_prob
+        self.p0 = p0
+
+
+class _Value:
+    """An immutable value, compared, hashed and shown by the attributes named in `_fields`.
+
+    A plain class, so that importing this module, as every command does, does not import dataclasses.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SurvivalDataset(_Value):
     """Ordered, nonempty survival data in one time unit, stored as two columns.
 
     `times` (finite, > 0) and `events` (one 0/1 byte per subject) keep input
@@ -37,11 +77,12 @@ class SurvivalDataset:
     time, the model's sufficient statistics, are computed once.
     """
 
+    _fields = ("times", "events", "time_unit")
     times: tuple[float, ...]
     events: bytes
     time_unit: str
-    num_events: int = field(repr=False, compare=False)
-    total_time: float = field(repr=False, compare=False)
+    num_events: int
+    total_time: float
 
     def __init__(self, times: Iterable[float], events: Iterable[int], time_unit: str = "months"):
         times = tuple(times)
@@ -68,11 +109,8 @@ class SurvivalDataset:
             total_time = _row_order_total(times)
         if kinds != {float}:
             times = tuple(map(float, times))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "time_unit", time_unit)
-        object.__setattr__(self, "num_events", events.count(1))
-        object.__setattr__(self, "total_time", total_time)
+        vars(self).update(times=times, events=events, time_unit=time_unit, num_events=events.count(1),
+                          total_time=total_time)
 
     @property
     def n(self) -> int:
@@ -83,36 +121,34 @@ class SurvivalDataset:
         return self.n - self.num_events
 
 
-@dataclass(frozen=True)
-class GammaParams:
+class GammaParams(_Value):
     """Shape/rate parameters of a Gamma distribution (prior or posterior on lambda)."""
 
+    _fields = ("shape", "rate")
     shape: float
     rate: float
 
-    def __post_init__(self):
-        for name, value in (("shape", self.shape), ("rate", self.rate)):
+    def __init__(self, shape: float, rate: float):
+        for name, value in (("shape", shape), ("rate", rate)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"Gamma {name} must be finite and > 0, got {value!r}")
-        object.__setattr__(self, "shape", float(self.shape))
-        object.__setattr__(self, "rate", float(self.rate))
+        vars(self).update(shape=float(shape), rate=float(rate))
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(_Value):
     """Analysis settings: median threshold t0, confidence level p0, prior."""
 
+    _fields = ("t0", "p0", "prior")
     t0: float
-    p0: float = 0.7
-    prior: GammaParams = GammaParams(0.5, 0.5)
+    p0: float
+    prior: GammaParams
 
-    def __post_init__(self):
-        if not (isinstance(self.t0, (int, float)) and math.isfinite(self.t0) and self.t0 > 0):
-            raise ValueError(f"t0 must be finite and > 0, got {self.t0!r}")
-        if not (isinstance(self.p0, (int, float)) and 0.0 < self.p0 < 1.0):
-            raise ValueError(f"p0 must lie in (0, 1), got {self.p0!r}")
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "p0", float(self.p0))
+    def __init__(self, t0: float, p0: float = 0.7, prior: GammaParams = GammaParams(0.5, 0.5)):
+        if not (isinstance(t0, (int, float)) and math.isfinite(t0) and t0 > 0):
+            raise ValueError(f"t0 must be finite and > 0, got {t0!r}")
+        if not (isinstance(p0, (int, float)) and 0.0 < p0 < 1.0):
+            raise ValueError(f"p0 must lie in (0, 1), got {p0!r}")
+        vars(self).update(t0=float(t0), p0=float(p0), prior=prior)
 
 
 def _row_order_total(times: tuple) -> float:

@@ -16,9 +16,8 @@ from xml.dom import minidom
 import pytest
 from scipy.special import gammainc as scipy_gammainc
 
-from fragsurv import cli
+from fragsurv import cli, fragility, km
 from fragsurv.cli import (
-    CASE_STUDIES,
     EXIT_INPUT_ERROR,
     EXIT_NOT_APPLICABLE,
     EXIT_NUMERICAL_ERROR,
@@ -26,10 +25,10 @@ from fragsurv.cli import (
     IngestError,
     ingest_csv,
     main,
-    reconstruct_case_dataset,
-    run_reproduce_paper,
     write_csv,
 )
+from fragsurv.commands import reproduce
+from fragsurv.commands.reproduce import CASE_STUDIES, reconstruct_case_dataset, run_reproduce_paper
 from fragsurv.km import km_estimate, km_to_plot_points
 from fragsurv.sim import SimSpec, simulate_trial
 from fragsurv.specfun import BracketError, ConvergenceError
@@ -307,6 +306,35 @@ class TestIngestParsers:
         assert cli._bulk_columns("5\n1,1,1", "months") is None
         assert cli._bulk_columns("time,status\n5\n1,1,1\n", "months") is None
 
+    @pytest.mark.parametrize("slice_chars", [1, 2, 23, 1000])
+    def test_every_slice_size_gives_the_same_dataset(self, monkeypatch, slice_chars):
+        rows = self._body(5, 300)
+        texts = ["time,status\n" + "\n".join(rows) + "\n", "Time,Status\r\n" + "\r\n".join(rows)]
+        whole = [cli._bulk_columns(text, "weeks") for text in texts]
+        monkeypatch.setattr(cli, "_SLICE_CHARS", slice_chars)
+        for text, one_slice in zip(texts, whole):
+            sliced = cli._bulk_columns(text, "weeks")
+            assert sliced == one_slice == cli._parse_rows(Path("d.csv"), text, "weeks")
+            assert sliced.total_time.hex() == one_slice.total_time.hex()
+        # a time that float() rejects in the last slice still leaves the text to the row parser
+        assert cli._bulk_columns(texts[0] + "0x1p3,1\n", "weeks") is None
+
+    @pytest.mark.parametrize("n", [200_000, 400_000])
+    def test_a_large_csv_is_converted_one_slice_at_a_time(self, tmp_path, n):
+        # Beyond the dataset it returns and three copies of the file (its bytes, the text and the body),
+        # ingest holds the cell strings of one slice, about 8 MB at any size; splitting the whole body
+        # into 2n cell strings took 18 MB at 2e5 rows, and twice that at 4e5.
+        path = tmp_path / "big.csv"
+        path.write_text("time,status\n" + "".join(f"{1 + i / 7!r},{i % 2}\n" for i in range(n)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            dataset, _ = ingest_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dataset.n == n and dataset.num_events == n // 2
+        assert peak - held - 3 * path.stat().st_size < 10_000_000
+
     def test_an_overflowing_total_is_checked_once_after_either_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "big.csv"
         path.write_text('time,status\n"1e308",1\n1e308,0\n', encoding="utf-8")  # a quoted cell: the row parser
@@ -370,7 +398,7 @@ class TestFiCommand:
         def broken_km(data):
             raise ValueError("broken")
 
-        monkeypatch.setattr(cli, "km_estimate", broken_km)
+        monkeypatch.setattr(km, "km_estimate", broken_km)
         assert main(["fi", demo_csv, "--t0", "2", "--with-km"]) == EXIT_NUMERICAL_ERROR
         assert capsys.readouterr().err == "fragsurv: internal-error: broken\n"
 
@@ -748,8 +776,8 @@ class TestReproducePaper:
         assert report["fragility"]["fi"] == 6
 
     def test_an_initial_probability_off_the_published_one_is_a_mismatch(self, capsys, monkeypatch):
-        calibrate = cli.calibrate
-        monkeypatch.setattr(cli, "calibrate", lambda *args: 1.1 * calibrate(*args))
+        calibrate = reproduce.calibrate
+        monkeypatch.setattr(reproduce, "calibrate", lambda *args: 1.1 * calibrate(*args))
         assert main(["reproduce-paper"]) == EXIT_NUMERICAL_ERROR
         captured = capsys.readouterr()
         assert [c["initial_probability_matches"] for c in json.loads(captured.out)["cases"]] == [False] * 3
@@ -854,6 +882,78 @@ class TestRenderJson:
         tracemalloc.start()
         try:
             cli._emit(cli._json_report(report), str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size >= 2_000_000
+        assert peak < 1_500_000
+
+
+class TestRenderText:
+    """Every text report, returned by render_text or written by a command, is one `path: value` line per
+    scalar, in the order of the flat walk below."""
+
+    PATH, UNIT = TestRenderJson.PATH, TestRenderJson.UNIT
+
+    @staticmethod
+    def _expected(report: dict) -> str:
+        lines = []
+
+        def walk(prefix, value):
+            for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
+                if isinstance(sub, (dict, list, cli.RowTable)):
+                    walk(f"{prefix}{key}.", sub)  # a RowTable iterates as its rows
+                else:
+                    lines.append(f"{prefix}{key}: {cli._text_scalar(sub)}")
+
+        walk("", report)
+        return "\n".join(lines) + "\n"
+
+    def _assert_written_as_the_walk(self, report: dict, tmp_path) -> None:
+        expected = self._expected(report)
+        assert cli.render_text(report) == expected
+        out = tmp_path / "report.txt"
+        cli._emit(cli._render(report, "text"), str(out))
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("chunk", [7, cli._CHUNK_ROWS])
+    def test_at_300_and_301_subjects(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        for n in (300, 301):
+            trial = simulate_trial(SimSpec(n=n, event_rate=0.08, censor_rate=0.04, seed=n))
+            for events in (trial.events, b"\x01" * n):
+                dataset = cli.SurvivalDataset(trial.times, events, self.UNIT)
+                self._assert_written_as_the_walk(TestRenderJson._report(self, dataset), tmp_path)
+
+    @pytest.mark.parametrize("chunk", [7, cli._CHUNK_ROWS])
+    def test_every_command_report_is_the_walk_of_its_json(self, tmp_path, capsys, monkeypatch, chunk):
+        # json.loads gives back every scalar that the text shows: floats round-trip through repr
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        argvs = [["fi", str(DATA / "cohort.csv"), "--t0", "8", "--with-km"],
+                 ["fi", str(DATA / "demo.csv"), "--t0", "2", "--with-km", "--time-unit", "100% of %d"],
+                 ["analyze", str(DATA / "demo.csv"), "--t0", "2"],
+                 ["sensitivity", str(DATA / "demo.csv"), "--t0", "2", "--grid", "p0=0.3,0.7;prior_shape=0.5,-1"],
+                 ["simulate", "--n", "50", "--rate", "0.1", "--censor-rate", "0.05", "--replications", "40",
+                  "--t0", "5"],
+                 ["reproduce-paper"]]
+        for argv in argvs:
+            main(argv)
+            report = json.loads(capsys.readouterr().out)
+            out = tmp_path / "report.txt"
+            main(argv + ["--format", "text", "--out", str(out)])
+            main(argv + ["--format", "text"])
+            text = capsys.readouterr().out
+            assert text == self._expected(report), argv
+            assert out.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("n", [24_000, 72_000])
+    def test_a_large_report_is_written_one_chunk_at_a_time(self, tmp_path, n):
+        times = [1.0 + i / 7 for i in range(n)]
+        report = {"km": cli._km_json(cli.SurvivalDataset(times, b"\x01\x01\x00" * (n // 3) + b"\x01" * (n % 3)))}
+        out = tmp_path / "km.txt"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._render(report, "text"), str(out))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1055,7 +1155,7 @@ class TestExitCodes:
         def failing(*args):
             raise ConvergenceError("continued fraction did not converge", 7)
 
-        monkeypatch.setattr(cli, "fragility_index", failing)
+        monkeypatch.setattr(fragility, "fragility_index", failing)
         assert main(["fi", demo_csv, "--t0", "2"]) == EXIT_NUMERICAL_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1066,7 +1166,7 @@ class TestExitCodes:
         def failing(*args):
             raise BracketError("no sign change")
 
-        monkeypatch.setattr(cli, "calibrate", failing)
+        monkeypatch.setattr(reproduce, "calibrate", failing)
         assert main(["reproduce-paper"]) == EXIT_NUMERICAL_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1109,6 +1209,33 @@ class TestEndToEnd:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["fragility"]["fi"] == 2
+
+    @pytest.mark.parametrize("module", ["fragsurv", "fragsurv.cli"])
+    def test_module_invocation_maps_a_command_modules_input_error(self, demo_csv, module):
+        # the handler's module raises fragsurv.cli.IngestError, which `python -m fragsurv.cli` must catch too
+        proc = subprocess.run([sys.executable, "-m", module, "sensitivity", demo_csv, "--t0", "2", "--grid", "x=1"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, "")
+        assert proc.stderr == ("fragsurv: input-error: --grid: unknown axis 'x'; "
+                               "expected one of prior_shape, prior_rate, t0, p0\n")
+
+    @pytest.mark.parametrize("command,absent", [
+        ("analyze", ["fragsurv.fragility", "fragsurv.km", "fragsurv.sim", "dataclasses", "fractions", "csv"]),
+        ("fi", ["fragsurv.km", "fragsurv.sim", "csv"]),
+    ])
+    def test_a_command_imports_only_what_it_runs(self, tmp_path, command, absent):
+        # in a fresh interpreter, which has imported none of these before main runs
+        script = ("import json, sys\nfrom fragsurv.cli import main\ncode = main(sys.argv[1:])\n"
+                  "print(json.dumps([code, sorted(sys.modules)]))\n")
+        out = tmp_path / "report.json"
+        proc = subprocess.run([sys.executable, "-c", script, command, str(DATA / "demo.csv"), "--t0", "2",
+                               "--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == EXIT_OK and json.loads(out.read_text(encoding="utf-8"))["input"]["n"] == 5
+        assert {"fragsurv.cli", "fragsurv.survival", "fragsurv.specfun"} <= set(loaded)
+        assert ("fragsurv.fragility" in loaded) == (command == "fi")
+        assert sorted(set(absent) & set(loaded)) == []
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -1,7 +1,12 @@
-"""The package's public names: each is its defining module's object, and a star import binds them all."""
+"""The package's public names: each is its defining module's object, and a star import binds them all.
+
+`import fragsurv` imports no submodule: each name loads its module on first use.
+"""
 
 import subprocess
 import sys
+
+import pytest
 
 import fragsurv
 
@@ -34,3 +39,23 @@ def test_every_public_name_is_its_defining_modules_object():
             module = sys.modules[value.__module__]
             assert module.__name__.startswith("fragsurv.") and getattr(module, name) is value, name
     assert sorted(set(fragsurv.__all__)) == sorted(fragsurv.__all__)
+
+
+def test_importing_the_package_loads_no_submodule():
+    script = "import sys\nimport fragsurv\nprint(sorted(m for m in sys.modules if m.startswith('fragsurv')))\n"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['fragsurv']\n"
+
+
+def test_not_applicable_is_one_class_wherever_it_is_imported():
+    from fragsurv import fragility, survival
+
+    assert fragsurv.NotFragileApplicableError is fragility.NotFragileApplicableError
+    assert fragility.NotFragileApplicableError is survival.NotFragileApplicableError
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'fragsurv' has no attribute 'no_such_name'"):
+        fragsurv.no_such_name
+    assert set(fragsurv.__all__) <= set(dir(fragsurv))
