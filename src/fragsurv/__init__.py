@@ -35,31 +35,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_EXPORTS})
 
 
-__all__ = [
-    "__version__",
-    "AnalysisConfig",
-    "BracketError",
-    "ConvergenceError",
-    "FragilityResult",
-    "GammaParams",
-    "GridCell",
-    "KMCurve",
-    "NotFragileApplicableError",
-    "SensitivityGrid",
-    "SimSpec",
-    "SplitMix64",
-    "SurvivalDataset",
-    "bisect_root",
-    "calibrate",
-    "fi_distribution",
-    "fragility_index",
-    "fragility_quotient",
-    "km_estimate",
-    "km_to_plot_points",
-    "log_likelihood",
-    "posterior_prob_median_exceeds",
-    "posterior_update",
-    "reg_lower_inc_gamma",
-    "sensitivity_scan",
-    "simulate_trial",
-]
+__all__ = ["__version__", *sorted(_EXPORTS)]

@@ -150,8 +150,8 @@ def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
     return SurvivalDataset(times, events, time_unit)
 
 
-def write_csv(dataset: SurvivalDataset, path: str | Path) -> None:
-    """Write a dataset back out in the same `time,status` format ingest_csv reads."""
+def write_csv(dataset: SurvivalDataset, path: str | Path | None) -> None:
+    """Write a dataset back out in the same `time,status` format ingest_csv reads, to `path` or stdout."""
     _emit(_csv_chunks(dataset), path)
 
 

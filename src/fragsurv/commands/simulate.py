@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from .. import cli
 from ..sim import SimSpec, fi_distribution, simulate_trial
 
@@ -29,14 +27,10 @@ def run(args) -> int:
         ordered = {str(k): counts[k] for k in sorted(k for k in counts if isinstance(k, int))}
         ordered.update((m, counts[m]) for m in ("not_attained", "not_applicable", "error") if m in counts)
         report = cli._report(
-            spec=asdict(spec), config=cli._config_json(config), replications=args.replications, counts=ordered
+            spec=vars(spec), config=cli._config_json(config), replications=args.replications, counts=ordered
         )
         cli._emit(cli._render(report, args.format), args.out)
         return cli.EXIT_OK
 
-    dataset = simulate_trial(spec)
-    if args.out:
-        cli.write_csv(dataset, args.out)
-    else:
-        cli._emit(cli._csv_chunks(dataset), None)
+    cli.write_csv(simulate_trial(spec), args.out)
     return cli.EXIT_OK

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .specfun import BracketError, ConvergenceError, bisect_root, reg_gamma_shape_step, reg_lower_inc_gamma
-from .survival import LN2, AnalysisConfig, GammaParams, NotFragileApplicableError, SurvivalDataset
+from .survival import LN2, AnalysisConfig, GammaParams, NotFragileApplicableError, SurvivalDataset, require_positive
 
 __all__ = [
     "NotFragileApplicableError",
@@ -30,6 +30,7 @@ __all__ = [
     "SensitivityGrid",
     "fragility_index",
     "crossing_fi",
+    "crossing_outcome",
     "fragility_quotient",
     "calibrate",
     "sensitivity_scan",
@@ -151,6 +152,22 @@ def crossing_fi(events: int, total_time: float, censored: int, config: AnalysisC
     return initial_prob, None
 
 
+def crossing_outcome(
+    events: int, total_time: float, censored: int, config: AnalysisConfig
+) -> tuple[str, float | None, int | None, str | None]:
+    """(status, initial_prob, fi, error) of `crossing_fi`, which this alone calls and catches.
+
+    status is "ok" (fi None if not attained), "not_applicable" (with initial_prob) or
+    "error" (a numerical error or an invalid value, with its message)."""
+    try:
+        initial_prob, fi = crossing_fi(events, total_time, censored, config)
+    except NotFragileApplicableError as exc:
+        return "not_applicable", exc.initial_prob, None, None
+    except (ConvergenceError, ValueError) as exc:
+        return "error", None, None, str(exc)
+    return "ok", initial_prob, fi, None
+
+
 def fragility_quotient(fi: int, n: int) -> Fraction:
     """Fragility index over sample size, as an exact rational in (0, 1]."""
     if not (isinstance(fi, int) and isinstance(n, int)):
@@ -173,9 +190,8 @@ def calibrate(shape: float, target_prob: float, t0: float) -> float:
     """
     if not 0.0 < target_prob < 1.0:
         raise ValueError(f"target_prob must lie in (0, 1), got {target_prob!r}")
-    GammaParams(shape, 1.0)  # validates the shape
-    if not t0 > 0:
-        raise ValueError(f"t0 must be > 0, got {t0!r}")
+    shape = require_positive("Gamma shape", shape)
+    t0 = require_positive("t0", t0)
 
     def objective(rate: float) -> float:
         return reg_lower_inc_gamma(shape, rate * LN2 / t0) - target_prob
@@ -201,7 +217,7 @@ def sensitivity_scan(
     """Fragility index over a Cartesian grid of analysis parameters.
 
     Axis names: prior_shape, prior_rate, t0, p0; no axes, an unknown name or an
-    empty axis raise ValueError. Each cell runs `crossing_fi` on the dataset's
+    empty axis raise ValueError. Each cell runs `crossing_outcome` on the dataset's
     sufficient statistics and records its failure (inapplicability, a numerical
     error, an invalid value) instead of aborting the scan; cell order is fixed.
     """
@@ -232,9 +248,6 @@ def _evaluate_cell(
             params.get("prior_rate", base.prior.rate),
         )
         config = AnalysisConfig(params.get("t0", base.t0), params.get("p0", base.p0), prior)
-        initial_prob, fi = crossing_fi(*stats, config)
-    except NotFragileApplicableError as exc:
-        return GridCell(params, "not_applicable", initial_prob=exc.initial_prob)
-    except (ConvergenceError, ValueError) as exc:
+    except ValueError as exc:
         return GridCell(params, "error", error=str(exc))
-    return GridCell(params, "ok", initial_prob=initial_prob, fi=fi)
+    return GridCell(params, *crossing_outcome(*stats, config))

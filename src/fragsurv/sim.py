@@ -16,9 +16,8 @@ from functools import lru_cache, reduce
 from itertools import islice, repeat
 from operator import add, le, truediv
 
-from .fragility import NotFragileApplicableError, crossing_fi
-from .specfun import ConvergenceError
-from .survival import AnalysisConfig, SurvivalDataset
+from .fragility import crossing_outcome
+from .survival import AnalysisConfig, SurvivalDataset, require_positive
 
 __all__ = ["SplitMix64", "SimSpec", "simulate_trial", "fi_distribution"]
 
@@ -80,13 +79,12 @@ class SimSpec:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (math.isfinite(self.event_rate) and self.event_rate > 0):
-            raise ValueError(f"event_rate must be finite and > 0, got {self.event_rate!r}")
+        require_positive("event_rate", self.event_rate)
         if self.censor_time is not None and self.censor_rate is not None:
             raise ValueError("specify at most one of censor_time and censor_rate")
         for name, value in (("censor_time", self.censor_time), ("censor_rate", self.censor_rate)):
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            if value is not None:
+                require_positive(name, value)
         for name, rate in (("event_rate", self.event_rate), ("censor_rate", self.censor_rate)):
             if rate is not None and math.isinf(_LARGEST_LOG_DRAW / rate):
                 raise ValueError(f"{name} {rate!r} is too small: the largest draw -ln(2^-54) / rate overflows")
@@ -170,16 +168,6 @@ def simulate_trial(spec: SimSpec) -> SurvivalDataset:
     return SurvivalDataset(times, events)
 
 
-def _fi_outcome(events: int, total_time: float, censored: int, config: AnalysisConfig) -> int | str:
-    try:
-        _, fi = crossing_fi(events, total_time, censored, config)
-    except NotFragileApplicableError:
-        return "not_applicable"
-    except (ConvergenceError, ValueError):
-        return "error"
-    return "not_attained" if fi is None else fi
-
-
 def fi_distribution(
     spec: SimSpec, config: AnalysisConfig, replications: int
 ) -> dict[int | str, int]:
@@ -188,9 +176,9 @@ def fi_distribution(
     Keys are attained index values (ints) plus the markers "not_attained",
     "not_applicable" and "error"; counts always sum to `replications`.
     Replication i uses substream i of the seed, so prefixes agree across
-    different replication counts. Builds no dataset: `crossing_fi` takes each
-    replication's event count and total time, the latter a row-order `reduce`
-    as in SurvivalDataset (`sum()` is compensated from Python 3.12 on).
+    different replication counts. Builds no dataset: `crossing_outcome` takes
+    each replication's event count and total time, the latter a row-order
+    `reduce` as in SurvivalDataset (`sum()` is compensated from Python 3.12 on).
     SimSpec keeps every time positive and finite, so "error" comes from the
     search alone: an overflowing total or a shape outside the kernel's domain."""
     if not (isinstance(replications, int) and replications >= 1):
@@ -204,6 +192,7 @@ def fi_distribution(
             total_time = reduce(add, times[k:k + subjects], total_time)
             seen += subjects
             if seen == spec.n:
-                counts[_fi_outcome(events, total_time, spec.n - events, config)] += 1
+                status, _, fi, _ = crossing_outcome(events, total_time, spec.n - events, config)
+                counts[status if status != "ok" else "not_attained" if fi is None else fi] += 1
                 events, total_time, seen = 0, 0.0, 0
     return dict(counts)

@@ -23,9 +23,17 @@ __all__ = [
     "log_likelihood",
     "posterior_update",
     "posterior_prob_median_exceeds",
+    "require_positive",
 ]
 
 LN2 = math.log(2.0)
+
+
+def require_positive(name: str, value) -> float:
+    """`value` as a float if it is a finite int or float above 0; else ValueError naming it `name`."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 class NotFragileApplicableError(Exception):
@@ -104,8 +112,7 @@ class SurvivalDataset(_Value):
         if not math.isfinite(total_time):
             # Re-scanned one by one to name the first bad time; finite times whose total overflows pass.
             for t in times:
-                if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-                    raise ValueError(f"observation time must be finite and > 0, got {t!r}")
+                require_positive("observation time", t)
             total_time = _row_order_total(times)
         if kinds != {float}:
             times = tuple(map(float, times))
@@ -129,10 +136,7 @@ class GammaParams(_Value):
     rate: float
 
     def __init__(self, shape: float, rate: float):
-        for name, value in (("shape", shape), ("rate", rate)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"Gamma {name} must be finite and > 0, got {value!r}")
-        vars(self).update(shape=float(shape), rate=float(rate))
+        vars(self).update(shape=require_positive("Gamma shape", shape), rate=require_positive("Gamma rate", rate))
 
 
 class AnalysisConfig(_Value):
@@ -144,11 +148,10 @@ class AnalysisConfig(_Value):
     prior: GammaParams
 
     def __init__(self, t0: float, p0: float = 0.7, prior: GammaParams = GammaParams(0.5, 0.5)):
-        if not (isinstance(t0, (int, float)) and math.isfinite(t0) and t0 > 0):
-            raise ValueError(f"t0 must be finite and > 0, got {t0!r}")
+        t0 = require_positive("t0", t0)
         if not (isinstance(p0, (int, float)) and 0.0 < p0 < 1.0):
             raise ValueError(f"p0 must lie in (0, 1), got {p0!r}")
-        vars(self).update(t0=float(t0), p0=float(p0), prior=prior)
+        vars(self).update(t0=t0, p0=float(p0), prior=prior)
 
 
 def _row_order_total(times: tuple) -> float:
@@ -161,7 +164,7 @@ def _row_order_total(times: tuple) -> float:
 
 def log_likelihood(data: SurvivalDataset, rate: float) -> float:
     """Censored exponential log-likelihood: (#events) ln(rate) - rate * total time."""
-    _require_positive_rate(rate)
+    rate = require_positive("rate", rate)
     return data.num_events * math.log(rate) - rate * data.total_time
 
 
@@ -177,11 +180,4 @@ def posterior_prob_median_exceeds(posterior: GammaParams, t0: float) -> float:
     Gamma(shape, rate) CDF at ln 2 / t0, i.e. P(shape, rate * ln 2 / t0).
     Strictly decreasing in t0 and strictly increasing in rate.
     """
-    if not (isinstance(t0, (int, float)) and math.isfinite(t0) and t0 > 0):
-        raise ValueError(f"t0 must be finite and > 0, got {t0!r}")
-    return reg_lower_inc_gamma(posterior.shape, posterior.rate * LN2 / t0)
-
-
-def _require_positive_rate(rate: float) -> None:
-    if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
+    return reg_lower_inc_gamma(posterior.shape, posterior.rate * LN2 / require_positive("t0", t0))

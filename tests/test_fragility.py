@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -296,8 +297,13 @@ class TestCalibrate:
             calibrate(1.0, target, 1.0)
 
     def test_rejects_a_t0_of_zero(self):
-        with pytest.raises(ValueError, match="t0 must be > 0"):
+        with pytest.raises(ValueError, match=r"^t0 must be finite and > 0, got 0\.0$"):
             calibrate(1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("t0", [math.inf, math.nan, "1"])
+    def test_rejects_a_t0_that_is_not_a_finite_positive_number(self, t0):
+        with pytest.raises(ValueError, match=f"^{re.escape(f't0 must be finite and > 0, got {t0!r}')}$"):
+            calibrate(1.0, 0.5, t0)
 
     def test_a_rate_past_200_doublings_is_a_bracket_error(self):
         # P(1, b ln 2 / 1e300) stays below 0.5 for every b up to 2^200

@@ -41,6 +41,14 @@ def test_every_public_name_is_its_defining_modules_object():
     assert sorted(set(fragsurv.__all__)) == sorted(fragsurv.__all__)
 
 
+def test_every_export_is_public_in_its_defining_module():
+    from importlib import import_module
+
+    for name, module in fragsurv._EXPORTS.items():
+        assert name in import_module(f"fragsurv.{module}").__all__, (name, module)
+    assert fragsurv.__all__ == ["__version__", *sorted(fragsurv._EXPORTS)]
+
+
 def test_importing_the_package_loads_no_submodule():
     script = "import sys\nimport fragsurv\nprint(sorted(m for m in sys.modules if m.startswith('fragsurv')))\n"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

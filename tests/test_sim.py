@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from fragsurv import fragility, sim
+from fragsurv import fragility
 from fragsurv.sim import _BLOCK, SimSpec, SplitMix64, _uniforms, fi_distribution, simulate_trial, substream_seed
 from fragsurv.survival import LN2, AnalysisConfig, GammaParams, posterior_update
 
@@ -123,17 +123,20 @@ class TestSimSpec:
             SimSpec(n=5, event_rate=1.0, censor_time=2.0, censor_rate=0.5)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs,message",
         [
-            {"n": 0, "event_rate": 1.0},
-            {"n": 5, "event_rate": 0.0},
-            {"n": 5, "event_rate": 1.0, "censor_time": 0.0},
-            {"n": 5, "event_rate": 1.0, "censor_rate": -1.0},
-            {"n": 5, "event_rate": 1.0, "seed": -1},
+            ({"n": 0, "event_rate": 1.0}, "n must be a positive integer, got 0"),
+            ({"n": 5, "event_rate": 0.0}, "event_rate must be finite and > 0, got 0.0"),
+            ({"n": 5, "event_rate": 1.0, "censor_time": 0.0}, "censor_time must be finite and > 0, got 0.0"),
+            ({"n": 5, "event_rate": 1.0, "censor_rate": -1.0}, "censor_rate must be finite and > 0, got -1.0"),
+            ({"n": 5, "event_rate": 1.0, "seed": -1}, "seed must be a nonnegative integer, got -1"),
+            ({"n": 5, "event_rate": "1"}, "event_rate must be finite and > 0, got '1'"),
+            ({"n": 5, "event_rate": None}, "event_rate must be finite and > 0, got None"),
+            ({"n": 5, "event_rate": 1.0, "censor_rate": "0.5"}, "censor_rate must be finite and > 0, got '0.5'"),
         ],
     )
-    def test_rejects_invalid_fields(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_invalid_fields(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SimSpec(**kwargs)
 
     @pytest.mark.parametrize("rate", [2.0**1022, 1e308, sys.float_info.max])
@@ -341,7 +344,7 @@ class TestFiDistributionEqualsReference:
             seen.append((events, total_time.hex(), censored))
             return None, None
 
-        monkeypatch.setattr(sim, "crossing_fi", recording)
+        monkeypatch.setattr(fragility, "crossing_fi", recording)
         for n, reps in ((50, 25), (_BLOCK + 300, 3)):
             spec = SimSpec(n=n, event_rate=0.2, seed=77 + n, **censoring)
             seen.clear()
