@@ -11,6 +11,7 @@ reproduction mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -478,7 +479,7 @@ def _cmd_report(args) -> int:
     if args.command == "analyze":
         initial_prob = posterior_prob_median_exceeds(posterior, config.t0)
     else:
-        from .fragility import fragility_index  # only fi loads the search, and dataclasses with it
+        from .fragility import fragility_index  # only fi loads the search, and fractions with it
 
         try:
             result = fragility_index(dataset, config)
@@ -527,10 +528,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# build_parser's parsers, one per command and one full, built once a process: parsing keeps no state in
+# a parser, and the help formatter reads COLUMNS and the output stream when it prints.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # Help, the version and top-level errors need the full parser; a command only its own.
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

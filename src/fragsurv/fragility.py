@@ -16,12 +16,19 @@ after k flips is P(shape + k, rate ln 2 / t0).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .specfun import BracketError, ConvergenceError, bisect_root, reg_gamma_shape_step, reg_lower_inc_gamma
-from .survival import LN2, AnalysisConfig, GammaParams, NotFragileApplicableError, SurvivalDataset, require_positive
+from .survival import (
+    LN2,
+    AnalysisConfig,
+    GammaParams,
+    NotFragileApplicableError,
+    SurvivalDataset,
+    _Value,
+    require_positive,
+)
 
 __all__ = [
     "NotFragileApplicableError",
@@ -48,8 +55,7 @@ _CALIBRATE_MAX_DOUBLINGS = 200
 _WINDOW = 1e-9
 
 
-@dataclass(frozen=True)
-class FragilityResult:
+class FragilityResult(_Value):
     """Outcome of a fragility search.
 
     fi is None when every censored observation was reclassified without the
@@ -59,12 +65,18 @@ class FragilityResult:
     repeats 1.0 until the probability leaves it.
     """
 
+    _fields = ("fi", "trajectory", "initial_prob", "censored_count", "fq", "config")
     fi: int | None
     trajectory: tuple[tuple[int, float], ...]
     initial_prob: float
     censored_count: int
     fq: Fraction | None
     config: AnalysisConfig
+
+    def __init__(self, fi: int | None, trajectory: tuple[tuple[int, float], ...], initial_prob: float,
+                 censored_count: int, fq: Fraction | None, config: AnalysisConfig):
+        vars(self).update(fi=fi, trajectory=trajectory, initial_prob=initial_prob, censored_count=censored_count,
+                          fq=fq, config=config)
 
     @property
     def attained(self) -> bool:
@@ -75,21 +87,32 @@ class FragilityResult:
         return str(self.fi) if self.attained else f"> {self.censored_count}"
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One sensitivity-scan cell: fi and initial_prob if "ok", initial_prob if "not_applicable", else error."""
+class GridCell(_Value):
+    """One sensitivity-scan cell: fi and initial_prob if "ok", initial_prob if "not_applicable", else error.
 
+    Unhashable, as `params` is a dict."""
+
+    _fields = ("params", "status", "initial_prob", "fi", "error")
     params: dict[str, float]
     status: str
-    initial_prob: float | None = None
-    fi: int | None = None
-    error: str | None = None
+    initial_prob: float | None
+    fi: int | None
+    error: str | None
+
+    def __init__(self, params: dict[str, float], status: str, initial_prob: float | None = None,
+                 fi: int | None = None, error: str | None = None):
+        vars(self).update(params=params, status=status, initial_prob=initial_prob, fi=fi, error=error)
 
 
-@dataclass(frozen=True)
-class SensitivityGrid:
+class SensitivityGrid(_Value):
+    """The axes of a scan, in canonical order, and its cells in product order. Unhashable, as `axes` is a dict."""
+
+    _fields = ("axes", "cells")
     axes: dict[str, tuple[float, ...]]
     cells: tuple[GridCell, ...]
+
+    def __init__(self, axes: dict[str, tuple[float, ...]], cells: tuple[GridCell, ...]):
+        vars(self).update(axes=axes, cells=cells)
 
 
 def _initial(events: int, total_time: float, config: AnalysisConfig) -> tuple[float, float]:

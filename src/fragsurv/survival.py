@@ -51,7 +51,7 @@ class NotFragileApplicableError(Exception):
 class _Value:
     """An immutable value, compared, hashed and shown by the attributes named in `_fields`.
 
-    A plain class, so that importing this module, as every command does, does not import dataclasses.
+    A plain class, not a dataclass, so that `analyze`, `fi` and `sensitivity` do not import dataclasses.
     """
 
     _fields: tuple[str, ...] = ()

@@ -1122,6 +1122,43 @@ class TestArgumentParsing:
         (sub,) = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(sub.choices) == [command]
 
+    def test_main_builds_a_command_parser_once_per_process(self, tmp_path, monkeypatch):
+        help_text, add_arguments, module = cli._COMMANDS["fi"]
+        assert add_arguments is cli._add_report_args
+        calls = []
+
+        def counting(parser):
+            calls.append(parser.prog)
+            add_arguments(parser)
+
+        monkeypatch.setitem(cli._COMMANDS, "fi", (help_text, counting, module))
+        cli._parser.cache_clear()
+        try:
+            for i in range(3):
+                argv = ["fi", str(DATA / "demo.csv"), "--t0", "2", "--out", str(tmp_path / f"{i}.json")]
+                assert main(argv) == EXIT_OK
+        finally:
+            cli._parser.cache_clear()  # drop the parser built through `counting`
+        assert calls == ["fragsurv fi"]
+        assert len({(tmp_path / f"{i}.json").read_bytes() for i in range(3)}) == 1
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        first, second = cli.build_parser("fi"), cli.build_parser("fi")
+        assert first is not second and first.format_help() == second.format_help()
+
+    def test_a_reused_parser_prints_what_a_fresh_one_prints(self, monkeypatch, capsys):
+        # one process, in which each parser is reused, against a fresh process per call
+        pinned = {tuple(case["argv"]): case["name"] for case in json.loads((HELP / "cases.json").read_text())}
+        steps = [(80, ["fi", "demo.csv"]), (80, ["fi", "--help"]), (80, ["fi", str(DATA / "demo.csv"), "--t0", "2"]),
+                 (80, ["--version"]), (120, ["--help"]), (80, ["fi", "demo.csv"])]
+        for columns, argv in steps:
+            monkeypatch.setenv("COLUMNS", str(columns))
+            fresh = subprocess.run([sys.executable, "-m", "fragsurv", *argv], capture_output=True, text=True)
+            code = main(argv)
+            assert (code, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            if tuple(argv) in pinned and columns == 80 and sys.version_info < (3, 13):
+                assert (code, fresh.stdout, fresh.stderr) == _pinned(pinned[tuple(argv)])
+
 
 class TestExitCodes:
     """Any flag value ends in a documented exit code, never in a traceback."""
@@ -1221,20 +1258,23 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("command,absent", [
         ("analyze", ["fragsurv.fragility", "fragsurv.km", "fragsurv.sim", "dataclasses", "fractions", "csv"]),
-        ("fi", ["fragsurv.km", "fragsurv.sim", "csv"]),
+        ("fi", ["fragsurv.km", "fragsurv.sim", "csv", "dataclasses", "inspect"]),
+        ("sensitivity", ["fragsurv.km", "fragsurv.sim", "csv", "dataclasses", "inspect"]),
     ])
     def test_a_command_imports_only_what_it_runs(self, tmp_path, command, absent):
         # in a fresh interpreter, which has imported none of these before main runs
         script = ("import json, sys\nfrom fragsurv.cli import main\ncode = main(sys.argv[1:])\n"
                   "print(json.dumps([code, sorted(sys.modules)]))\n")
         out = tmp_path / "report.json"
-        proc = subprocess.run([sys.executable, "-c", script, command, str(DATA / "demo.csv"), "--t0", "2",
+        flags = ["--grid", "t0=1,2"] if command == "sensitivity" else []
+        proc = subprocess.run([sys.executable, "-c", script, command, str(DATA / "demo.csv"), "--t0", "2", *flags,
                                "--out", str(out)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         code, loaded = json.loads(proc.stdout)
-        assert code == EXIT_OK and json.loads(out.read_text(encoding="utf-8"))["input"]["n"] == 5
+        sha256 = hashlib.sha256((DATA / "demo.csv").read_bytes()).hexdigest()
+        assert code == EXIT_OK and json.loads(out.read_text(encoding="utf-8"))["input"]["sha256"] == sha256
         assert {"fragsurv.cli", "fragsurv.survival", "fragsurv.specfun"} <= set(loaded)
-        assert ("fragsurv.fragility" in loaded) == (command == "fi")
+        assert ("fragsurv.fragility" in loaded) == (command != "analyze")
         assert sorted(set(absent) & set(loaded)) == []
 
     def test_version_flag(self, capsys):

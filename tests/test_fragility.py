@@ -11,7 +11,10 @@ from scipy.special import gammaincinv as scipy_gammaincinv
 
 from fragsurv import fragility
 from fragsurv.fragility import (
+    FragilityResult,
+    GridCell,
     NotFragileApplicableError,
+    SensitivityGrid,
     calibrate,
     crossing_fi,
     fragility_index,
@@ -450,3 +453,73 @@ class TestSensitivityScan:
         base = AnalysisConfig(t0=4.0)
         axes = {"p0": [0.6, 0.7], "prior_rate": [0.25, 0.5]}
         assert sensitivity_scan(data, base, axes) == sensitivity_scan(data, base, axes)
+
+
+class TestResultTypeContract:
+    """What callers rely on from the three fragility value types: constructors, keyword defaults,
+    equality, hash, repr text and immutability."""
+
+    @staticmethod
+    def _result(fi=2):
+        return FragilityResult(fi, ((0, 0.9), (1, 0.8), (2, 0.6)), 0.9, 3, Fraction(2, 5), AnalysisConfig(2.0))
+
+    @staticmethod
+    def _values():
+        cell = GridCell({"t0": 1.0}, "ok", 0.9, 2)
+        return [TestResultTypeContract._result(), cell, SensitivityGrid({"t0": (1.0,)}, (cell,))]
+
+    def test_fragility_result(self):
+        result = self._result()
+        fields = (2, ((0, 0.9), (1, 0.8), (2, 0.6)), 0.9, 3, Fraction(2, 5), AnalysisConfig(2.0))
+        assert (result.fi, result.trajectory, result.initial_prob, result.censored_count, result.fq,
+                result.config) == fields
+        same = FragilityResult(fi=2, trajectory=((0, 0.9), (1, 0.8), (2, 0.6)), initial_prob=0.9, censored_count=3,
+                               fq=Fraction(2, 5), config=AnalysisConfig(2.0))
+        assert result == same and hash(result) == hash(same) == hash(fields)
+        assert result != self._result(fi=1) and result != fields
+        assert (result.attained, result.fi_text) == (True, "2")
+        assert (self._result(fi=None).attained, self._result(fi=None).fi_text) == (False, "> 3")
+        assert repr(result) == (
+            "FragilityResult(fi=2, trajectory=((0, 0.9), (1, 0.8), (2, 0.6)), initial_prob=0.9, censored_count=3, "
+            "fq=Fraction(2, 5), config=AnalysisConfig(t0=2.0, p0=0.7, prior=GammaParams(shape=0.5, rate=0.5)))")
+        with pytest.raises(TypeError):
+            FragilityResult(2, (), 0.9, 3, None)
+
+    def test_grid_cell_defaults_and_no_hash(self):
+        cell = GridCell({"t0": 1.0}, "error", error="t0 must be finite and > 0, got -1.0")
+        assert (cell.params, cell.status, cell.initial_prob, cell.fi, cell.error) == (
+            {"t0": 1.0}, "error", None, None, "t0 must be finite and > 0, got -1.0")
+        assert cell == GridCell(params={"t0": 1.0}, status="error", initial_prob=None, fi=None,
+                                error="t0 must be finite and > 0, got -1.0")
+        assert GridCell({"t0": 1.0}, "ok", 0.9, 2) == GridCell({"t0": 1.0}, "ok", initial_prob=0.9, fi=2)
+        assert cell != GridCell({"t0": 2.0}, "error", error=cell.error) and cell != GridCell({"t0": 1.0}, "ok")
+        assert repr(GridCell({"t0": 1.0}, "ok")) == (
+            "GridCell(params={'t0': 1.0}, status='ok', initial_prob=None, fi=None, error=None)")
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(cell)  # params is a dict
+        with pytest.raises(TypeError):
+            GridCell({"t0": 1.0})
+        with pytest.raises(TypeError):
+            GridCell({"t0": 1.0}, "ok", status_text="ok")
+
+    def test_sensitivity_grid(self):
+        cell = GridCell({"t0": 1.0}, "ok", 0.9, 2)
+        grid = SensitivityGrid({"t0": (1.0,)}, (cell,))
+        assert (grid.axes, grid.cells) == ({"t0": (1.0,)}, (cell,))
+        assert grid == SensitivityGrid(axes={"t0": (1.0,)}, cells=(GridCell({"t0": 1.0}, "ok", 0.9, 2),))
+        assert grid != SensitivityGrid({"t0": (1.0,)}, ()) and grid != ({"t0": (1.0,)}, (cell,))
+        assert repr(grid) == ("SensitivityGrid(axes={'t0': (1.0,)}, cells=(GridCell(params={'t0': 1.0}, status='ok', "
+                              "initial_prob=0.9, fi=2, error=None),))")
+        with pytest.raises(TypeError):
+            hash(grid)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_assignment_and_deletion_raise_attribute_error(self, index):
+        value = self._values()[index]
+        before = repr(value)
+        for name in [*vars(value), "new_attribute"]:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, 1.0)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+        assert repr(value) == before
