@@ -648,6 +648,30 @@ class TestSensitivityCommand:
             "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 1e+308",
         ]
 
+    def test_a_step_shape_of_2_to_the_53_is_a_cell_error(self, monkeypatch, capsys):
+        # censored.csv has no events: P(0) is at 2**53 - 1, and the second flip's step at 2**53
+        monkeypatch.chdir(DATA.parent.parent)
+        grid = "prior_shape=9007199254740991;t0=9.234575219833763e-17"
+        argv = ["sensitivity", "tests/data/censored.csv", "--t0", "1", "--grid", grid, "--format", "text"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "tool.name: fragsurv\n"
+            "tool.version: 0.1.0\n"
+            "input.path: tests/data/censored.csv\n"
+            "input.sha256: 26aa89ed57d15f2e0ed34c5ed2d9f6b34cd73268bb2e52a37bde8dd418d3c5c0\n"
+            "base_config.prior_shape: 0.5\n"
+            "base_config.prior_rate: 0.5\n"
+            "base_config.t0: 1.0\n"
+            "base_config.p0: 0.7\n"
+            "axes.prior_shape.0: 9007199254740991.0\n"
+            "axes.t0.0: 9.234575219833763e-17\n"
+            "cells.0.params.prior_shape: 9007199254740991.0\n"
+            "cells.0.params.t0: 9.234575219833763e-17\n"
+            "cells.0.status: error\n"
+            "cells.0.error: reg_gamma_shape_step requires 2**-1022 <= a < 2**53 and x >= 0, "
+            "got 9007199254740992.0, 9007199539459788.0\n"
+        )
+
 
 class TestSimulateCommand:
     def test_writes_roundtrippable_csv(self, tmp_path, capsys):

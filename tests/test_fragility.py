@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,12 @@ from fragsurv.fragility import (
     SensitivityGrid,
     calibrate,
     crossing_fi,
+    crossing_outcome,
     fragility_index,
     fragility_quotient,
     sensitivity_scan,
 )
-from fragsurv.specfun import BracketError, reg_lower_inc_gamma
+from fragsurv.specfun import BracketError, reg_gamma_shape_step, reg_lower_inc_gamma
 from fragsurv.survival import (
     LN2,
     AnalysisConfig,
@@ -175,6 +177,44 @@ def crossing_matches(data, config):
     return expected.fi
 
 
+def count_kernel_calls(monkeypatch):
+    """The shapes of the kernel calls that fragility makes from here on, in call order."""
+    shapes = []
+    kernel = fragility.reg_lower_inc_gamma
+
+    def counting(a, x):
+        shapes.append(a)
+        return kernel(a, x)
+
+    monkeypatch.setattr(fragility, "reg_lower_inc_gamma", counting)
+    return shapes
+
+
+def definition_corpus(rng):
+    """Seeded (regime, (events, censored), x, p0) in each regime of the crossing search."""
+    for _ in range(200):
+        events, censored = rng.randint(0, 300), rng.randint(1, 400)
+        a = 0.5 + events
+        p0 = rng.choice([rng.uniform(0.05, 0.95), 1 - 10 ** -rng.uniform(1, 6)])
+        z = NormalDist().inv_cdf(p0) + rng.uniform(0.1, 2.0)
+        yield "near the mode", (events, censored), max(a + z * math.sqrt(a), 0.5), p0
+    for _ in range(10):
+        # P(0) rounds to 1.0 and keeps that value over the first flips
+        events = rng.randint(0, 200)
+        a = 0.5 + events
+        yield "saturated", (events, 1_500), a + rng.uniform(12, 40) * math.sqrt(a) + 60, rng.uniform(0.3, 0.999999)
+    for _ in range(10):
+        # the step at the starting shape is far below 2**-900
+        events = rng.randint(0, 5)
+        x = rng.uniform(900, 2_500)
+        yield "x >> a", (events, int(x) + 200), x, rng.uniform(0.3, 0.999999)
+    for _ in range(10):
+        events = rng.randint(100_000, 150_000)
+        a = 0.5 + events
+        x = a + rng.uniform(0.3, 1.5) * math.sqrt(a)
+        yield "a >= 1e5", (events, 300), x, reg_lower_inc_gamma(a, x) - rng.uniform(0.005, 0.05)
+
+
 class TestCrossingFi:
     @pytest.mark.parametrize("events,censored,z", [(20, 40, 1.5), (100_000, 400, 1.0)])
     def test_p0_on_a_kernel_value_and_its_neighbours(self, events, censored, z):
@@ -218,6 +258,49 @@ class TestCrossingFi:
     def test_overflowing_posterior_rate_is_a_value_error(self):
         with pytest.raises(ValueError, match="Gamma rate"):
             crossing_fi(1, math.inf, 1, AnalysisConfig(t0=1.0))
+
+    def test_matches_the_definition_on_a_seeded_corpus(self):
+        fis = {}
+        for regime, (events, censored), x, p0 in definition_corpus(random.Random(2026)):
+            if regime == "saturated":
+                assert reg_lower_inc_gamma(0.5 + events, x) == 1.0
+            if regime == "x >> a":
+                assert reg_gamma_shape_step(0.5 + events, x) < 2.0**-900
+            data = counts_dataset(events, censored)
+            fis.setdefault(regime, []).append(crossing_matches(data, config_at(data, x, p0)))
+        # each regime reaches its crossings, and the FIs run into the thousands
+        assert all(any(isinstance(fi, int) for fi in found) for found in fis.values())
+        assert max(fi for found in fis.values() for fi in found if isinstance(fi, int)) >= 1_000
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_a_crossing_outside_the_window_makes_one_kernel_call(self, monkeypatch, k):
+        # p0 halfway between P(k - 1) and P(k): the recurrence decides, and the kernel gives P(0) alone
+        data = counts_dataset(20, 40)
+        base = config_at(data, 20.5 + 1.5 * math.sqrt(20.5), 0.5)
+        probs = kernel_trajectory(data, base)
+        config = AnalysisConfig(t0=base.t0, p0=(probs[k - 1] + probs[k]) / 2)
+        assert crossing_matches(data, config) == k
+        shapes = count_kernel_calls(monkeypatch)
+        assert crossing_fi(20, data.total_time, 40, config) == (probs[0], k)
+        assert shapes == [20.5]
+
+    def test_a_step_shape_of_2_to_the_53_raises_at_the_same_flip(self):
+        # no events: P(0) is at 2**53 - 1, and the second flip's step is at 2**53
+        data = SurvivalDataset([0.3, 0.4], [0, 0])
+        config = AnalysisConfig(t0=9.234575219833763e-17, prior=GammaParams(2.0**53 - 1, 0.5))
+        error = ("reg_gamma_shape_step requires 2**-1022 <= a < 2**53 and x >= 0, "
+                 "got 9007199254740992.0, 9007199539459788.0")
+        assert crossing_outcome(0, data.total_time, 2, config) == ("error", None, None, error)
+
+    def test_a_crossing_at_a_shape_of_2_to_the_53_is_the_kernels_error(self):
+        # a step of 3.7e-9 jumps the window at the second flip, whose shape is 2**53
+        a = 2.0**53 - 2
+        t0 = 3.5 * LN2 / (a + 0.5 * math.sqrt(a))
+        x = 3.5 * LN2 / t0
+        p0 = reg_lower_inc_gamma(a, x) - 1.5 * reg_gamma_shape_step(a, x)
+        config = AnalysisConfig(t0=t0, p0=p0, prior=GammaParams(a, 0.5))
+        error = "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 9007199254740992.0"
+        assert crossing_outcome(0, 3.0, 3, config) == ("error", None, None, error)
 
 
 class TestFragilityQuotient:
@@ -415,21 +498,13 @@ class TestSensitivityScan:
 
     def test_at_most_three_kernel_calls_per_cell(self, monkeypatch):
         # one kernel call per flip makes 110 calls here
-        calls = 0
-        kernel = fragility.reg_lower_inc_gamma
-
-        def counting(a, x):
-            nonlocal calls
-            calls += 1
-            return kernel(a, x)
-
-        monkeypatch.setattr(fragility, "reg_lower_inc_gamma", counting)
+        shapes = count_kernel_calls(monkeypatch)
         data = counts_dataset(20, 200)
         base = config_at(data, 20.5 + 3 * math.sqrt(20.5), 0.7)
         grid = sensitivity_scan(data, base, {"p0": [0.6, 0.7, 0.8], "prior_shape": [0.25, 0.5, 1.0]})
         assert [cell.status for cell in grid.cells] == ["ok"] * 9
         assert all(isinstance(cell.fi, int) for cell in grid.cells)
-        assert calls <= 3 * len(grid.cells)
+        assert len(shapes) <= 3 * len(grid.cells)
 
     def test_axis_validation(self):
         data = ds((2.0, 0), (8.0, 1))
