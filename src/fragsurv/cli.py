@@ -488,13 +488,9 @@ def _cmd_report(args) -> int:
             initial_prob, fragility, not_applicable = exc.initial_prob, {"applicable": False}, exc
     report = build_report(dataset, config, args.csv, sha256, posterior, initial_prob, fragility, km)
     _emit(_render(report, args.format), args.out)
-    if not_applicable is None:
-        return EXIT_OK
-    sys.stderr.write(
-        f"{_PROG}: not-fragile-applicable: initial probability {not_applicable.initial_prob!r} "
-        f"<= p0 {not_applicable.p0!r}\n"
-    )
-    return EXIT_NOT_APPLICABLE
+    if not_applicable is not None:
+        raise not_applicable
+    return EXIT_OK
 
 
 # name: (help, function adding its arguments, module of fragsurv.commands whose `run` handles it, or None
@@ -554,7 +550,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"{_PROG}: input-error: {exc}\n")
         return EXIT_INPUT_ERROR
     except NotFragileApplicableError as exc:
-        sys.stderr.write(f"{_PROG}: not-fragile-applicable: {exc}\n")
+        sys.stderr.write(f"{_PROG}: not-fragile-applicable: initial probability {exc.initial_prob!r} "
+                         f"<= p0 {exc.p0!r}\n")
         return EXIT_NOT_APPLICABLE
     except (ConvergenceError, BracketError) as exc:
         sys.stderr.write(f"{_PROG}: numerical-error: {exc}\n")

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .. import cli
 from ..fragility import calibrate, fragility_index
-from ..survival import AnalysisConfig, GammaParams, SurvivalDataset
+from ..survival import AnalysisConfig, GammaParams, SurvivalDataset, _Value
 
 
 def run(args) -> int:
@@ -18,8 +17,8 @@ def run(args) -> int:
     return cli.EXIT_NUMERICAL_ERROR if mismatches else cli.EXIT_OK
 
 
-@dataclass(frozen=True)
-class CaseStudy:
+class CaseStudy(_Value):
+    _fields = ("key", "label", "n", "events", "t0", "reported_initial_prob", "published_fi")
     key: str
     label: str
     n: int
@@ -27,6 +26,11 @@ class CaseStudy:
     t0: float
     reported_initial_prob: float
     published_fi: int
+
+    def __init__(self, key: str, label: str, n: int, events: int, t0: float, reported_initial_prob: float,
+                 published_fi: int):
+        vars(self).update(key=key, label=label, n=n, events=events, t0=t0, reported_initial_prob=reported_initial_prob,
+                          published_fi=published_fi)
 
     @property
     def censored(self) -> int:

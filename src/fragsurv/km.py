@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import mul, truediv
 
-from .survival import SurvivalDataset
+from .survival import SurvivalDataset, _Value
 
 __all__ = ["KMCurve", "km_estimate", "km_to_plot_points"]
 
@@ -24,8 +23,7 @@ __all__ = ["KMCurve", "km_estimate", "km_to_plot_points"]
 _EXACT_KM_MAX_N = 300
 
 
-@dataclass(frozen=True)
-class KMCurve:
+class KMCurve(_Value):
     """Right-continuous step estimate as columns, plus the times at which censoring occurred.
 
     `times`, `survival`, `at_risk` and `events` hold one entry per distinct
@@ -33,11 +31,16 @@ class KMCurve:
     Fraction up to _EXACT_KM_MAX_N subjects, a float above.
     """
 
+    _fields = ("times", "survival", "at_risk", "events", "censor_marks")
     times: tuple[float, ...]
     survival: tuple[Fraction | float, ...]
     at_risk: tuple[int, ...]
     events: tuple[int, ...]
     censor_marks: tuple[float, ...]
+
+    def __init__(self, times: tuple[float, ...], survival: tuple[Fraction | float, ...], at_risk: tuple[int, ...],
+                 events: tuple[int, ...], censor_marks: tuple[float, ...]):
+        vars(self).update(times=times, survival=survival, at_risk=at_risk, events=events, censor_marks=censor_marks)
 
 
 def km_estimate(data: SurvivalDataset) -> KMCurve:

@@ -11,13 +11,12 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import islice, repeat
-from operator import add, le, truediv
+from operator import le, truediv
 
 from .fragility import crossing_outcome
-from .survival import AnalysisConfig, SurvivalDataset, require_positive
+from .survival import AnalysisConfig, SurvivalDataset, _row_order_total, _Value, require_positive
 
 __all__ = ["SplitMix64", "SimSpec", "simulate_trial", "fi_distribution"]
 
@@ -60,8 +59,7 @@ def substream_seed(seed: int, index: int) -> int:
     return _mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-@dataclass(frozen=True)
-class SimSpec:
+class SimSpec(_Value):
     """Synthetic single-arm trial: exponential event times, optional censoring.
 
     Censoring is either administrative (cutoff at censor_time) or independent
@@ -70,28 +68,31 @@ class SimSpec:
     positive finite double: above 2.0821099566085722e-307 and below 2^1022.
     """
 
+    _fields = ("n", "event_rate", "censor_time", "censor_rate", "seed")
     n: int
     event_rate: float
-    censor_time: float | None = None
-    censor_rate: float | None = None
-    seed: int = 0
+    censor_time: float | None
+    censor_rate: float | None
+    seed: int
 
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        require_positive("event_rate", self.event_rate)
-        if self.censor_time is not None and self.censor_rate is not None:
+    def __init__(self, n: int, event_rate: float, censor_time: float | None = None,
+                 censor_rate: float | None = None, seed: int = 0):
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        require_positive("event_rate", event_rate)
+        if censor_time is not None and censor_rate is not None:
             raise ValueError("specify at most one of censor_time and censor_rate")
-        for name, value in (("censor_time", self.censor_time), ("censor_rate", self.censor_rate)):
+        for name, value in (("censor_time", censor_time), ("censor_rate", censor_rate)):
             if value is not None:
                 require_positive(name, value)
-        for name, rate in (("event_rate", self.event_rate), ("censor_rate", self.censor_rate)):
+        for name, rate in (("event_rate", event_rate), ("censor_rate", censor_rate)):
             if rate is not None and math.isinf(_LARGEST_LOG_DRAW / rate):
                 raise ValueError(f"{name} {rate!r} is too small: the largest draw -ln(2^-54) / rate overflows")
             if rate is not None and _SMALLEST_LOG_DRAW / rate == 0.0:
                 raise ValueError(f"{name} {rate!r} is too large: the smallest draw -ln(1 - 2^-53) / rate rounds to 0")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (isinstance(seed, int) and seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        vars(self).update(n=n, event_rate=event_rate, censor_time=censor_time, censor_rate=censor_rate, seed=seed)
 
 
 @lru_cache(maxsize=8)
@@ -177,8 +178,8 @@ def fi_distribution(
     "not_applicable" and "error"; counts always sum to `replications`.
     Replication i uses substream i of the seed, so prefixes agree across
     different replication counts. Builds no dataset: `crossing_outcome` takes
-    each replication's event count and total time, the latter a row-order
-    `reduce` as in SurvivalDataset (`sum()` is compensated from Python 3.12 on).
+    each replication's event count and total time, the latter summed by
+    `survival._row_order_total` as in SurvivalDataset.
     SimSpec keeps every time positive and finite, so "error" comes from the
     search alone: an overflowing total or a shape outside the kernel's domain."""
     if not (isinstance(replications, int) and replications >= 1):
@@ -189,7 +190,7 @@ def fi_distribution(
     for times, flags, subjects in _observed(spec, (substream_seed(spec.seed, i) for i in range(replications))):
         for k in range(0, len(times), subjects):
             events += flags.count(1, k, k + subjects)
-            total_time = reduce(add, times[k:k + subjects], total_time)
+            total_time = _row_order_total(times[k:k + subjects], total_time)
             seen += subjects
             if seen == spec.n:
                 status, _, fi, _ = crossing_outcome(events, total_time, spec.n - events, config)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from functools import reduce
+from operator import add
 
 from .specfun import reg_lower_inc_gamma
 
@@ -51,7 +53,8 @@ class NotFragileApplicableError(Exception):
 class _Value:
     """An immutable value, compared, hashed and shown by the attributes named in `_fields`.
 
-    A plain class, not a dataclass, so that `analyze`, `fi` and `sensitivity` do not import dataclasses.
+    Every value type of the package is one, written out rather than made by the stdlib's data-class
+    decorator, so that no command imports that module (and inspect with it).
     """
 
     _fields: tuple[str, ...] = ()
@@ -154,12 +157,10 @@ class AnalysisConfig(_Value):
         vars(self).update(t0=t0, p0=float(p0), prior=prior)
 
 
-def _row_order_total(times: tuple) -> float:
-    """Plain row-order addition: the same bits on every Python version (sum() of floats is compensated from 3.12 on)."""
-    from functools import reduce
-    from operator import add
-
-    return reduce(add, times, 0.0)
+def _row_order_total(times: Iterable[float], start: float = 0.0) -> float:
+    """`start` plus `times` by plain row-order addition: the same bits on every Python version (sum() of floats is
+    compensated from 3.12 on)."""
+    return reduce(add, times, start)
 
 
 def log_likelihood(data: SurvivalDataset, rate: float) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 from scipy.special import gammainc as scipy_gammainc
@@ -104,7 +103,7 @@ def fi_histogram_reference(spec: SimSpec, config: AnalysisConfig, reps: int) -> 
     counts: Counter[int | str] = Counter()
     for i in range(reps):
         try:
-            dataset = simulate_trial(replace(spec, seed=substream_seed(spec.seed, i)))
+            dataset = simulate_trial(SimSpec(**{**vars(spec), "seed": substream_seed(spec.seed, i)}))
             result = fragility_index(dataset, config)
         except NotFragileApplicableError:
             counts["not_applicable"] += 1

@@ -372,10 +372,10 @@ class TestFiCommand:
         assert first == second
 
     def test_not_applicable_exit_code_and_message(self, demo_csv, capsys):
-        code = main(["fi", demo_csv, "--t0", "2", "--p0", "0.99"])
+        code = main(["fi", demo_csv, "--t0", "2", "--p0", "0.999"])
         captured = capsys.readouterr()
         assert code == EXIT_NOT_APPLICABLE
-        assert "not-fragile-applicable" in captured.err
+        assert captured.err == "fragsurv: not-fragile-applicable: initial probability 0.9234655226617513 <= p0 0.999\n"
         report = json.loads(captured.out)
         assert report["fragility"] == {"applicable": False}
 
@@ -1280,26 +1280,39 @@ class TestEndToEnd:
         assert proc.stderr == ("fragsurv: input-error: --grid: unknown axis 'x'; "
                                "expected one of prior_shape, prior_rate, t0, p0\n")
 
-    @pytest.mark.parametrize("command,absent", [
-        ("analyze", ["fragsurv.fragility", "fragsurv.km", "fragsurv.sim", "dataclasses", "fractions", "csv"]),
-        ("fi", ["fragsurv.km", "fragsurv.sim", "csv", "dataclasses", "inspect"]),
-        ("sensitivity", ["fragsurv.km", "fragsurv.sim", "csv", "dataclasses", "inspect"]),
-    ])
-    def test_a_command_imports_only_what_it_runs(self, tmp_path, command, absent):
+    _DEMO = str(DATA / "demo.csv")
+    _NOT_LOADED = ["csv", "dataclasses", "inspect"]
+
+    @pytest.mark.parametrize("argv,code,present,absent", [
+        (["analyze", _DEMO, "--t0", "2"], EXIT_OK, [],
+         ["fragsurv.fragility", "fragsurv.km", "fragsurv.sim", "fractions", *_NOT_LOADED]),
+        (["fi", _DEMO, "--t0", "2"], EXIT_OK, ["fragsurv.fragility"], ["fragsurv.km", "fragsurv.sim", *_NOT_LOADED]),
+        (["fi", _DEMO, "--t0", "2", "--with-km"], EXIT_OK, ["fragsurv.fragility", "fragsurv.km"],
+         ["fragsurv.sim", *_NOT_LOADED]),
+        (["sensitivity", _DEMO, "--t0", "2", "--grid", "t0=1,2"], EXIT_OK, ["fragsurv.fragility"],
+         ["fragsurv.km", "fragsurv.sim", *_NOT_LOADED]),
+        (["km", _DEMO], EXIT_OK, ["fragsurv.km"], ["fragsurv.fragility", "fragsurv.sim", *_NOT_LOADED]),
+        (["simulate", "--n", "20", "--rate", "0.5"], EXIT_OK, ["fragsurv.sim"], ["fragsurv.km", *_NOT_LOADED]),
+        (["simulate", "--n", "20", "--rate", "0.5", "--replications", "5", "--t0", "2"], EXIT_OK,
+         ["fragsurv.sim", "fragsurv.fragility"], ["fragsurv.km", *_NOT_LOADED]),
+        (["reproduce-paper"], EXIT_NUMERICAL_ERROR, ["fragsurv.fragility"],
+         ["fragsurv.km", "fragsurv.sim", *_NOT_LOADED]),
+    ], ids=["analyze", "fi", "fi-with-km", "sensitivity", "km", "simulate-csv", "simulate-replications",
+            "reproduce-paper"])
+    def test_a_command_imports_only_what_it_runs(self, tmp_path, argv, code, present, absent):
         # in a fresh interpreter, which has imported none of these before main runs
         script = ("import json, sys\nfrom fragsurv.cli import main\ncode = main(sys.argv[1:])\n"
                   "print(json.dumps([code, sorted(sys.modules)]))\n")
-        out = tmp_path / "report.json"
-        flags = ["--grid", "t0=1,2"] if command == "sensitivity" else []
-        proc = subprocess.run([sys.executable, "-c", script, command, str(DATA / "demo.csv"), "--t0", "2", *flags,
-                               "--out", str(out)], capture_output=True, text=True)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        code, loaded = json.loads(proc.stdout)
-        sha256 = hashlib.sha256((DATA / "demo.csv").read_bytes()).hexdigest()
-        assert code == EXIT_OK and json.loads(out.read_text(encoding="utf-8"))["input"]["sha256"] == sha256
-        assert {"fragsurv.cli", "fragsurv.survival", "fragsurv.specfun"} <= set(loaded)
-        assert ("fragsurv.fragility" in loaded) == (command != "analyze")
-        assert sorted(set(absent) & set(loaded)) == []
+        assert json.loads(proc.stdout)[0] == code and out.read_text(encoding="utf-8")
+        if argv[0] in ("analyze", "fi", "sensitivity"):
+            sha256 = hashlib.sha256((DATA / "demo.csv").read_bytes()).hexdigest()
+            assert json.loads(out.read_text(encoding="utf-8"))["input"]["sha256"] == sha256
+        loaded = set(json.loads(proc.stdout)[1])
+        assert {"fragsurv.cli", "fragsurv.survival", "fragsurv.specfun", *present} <= loaded
+        assert sorted(set(absent) & loaded) == []
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

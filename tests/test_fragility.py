@@ -11,6 +11,7 @@ from scipy.special import gammainc as scipy_gammainc
 from scipy.special import gammaincinv as scipy_gammaincinv
 
 from fragsurv import fragility
+from fragsurv.commands.reproduce import CaseStudy
 from fragsurv.fragility import (
     FragilityResult,
     GridCell,
@@ -23,6 +24,8 @@ from fragsurv.fragility import (
     fragility_quotient,
     sensitivity_scan,
 )
+from fragsurv.km import KMCurve
+from fragsurv.sim import SimSpec
 from fragsurv.specfun import BracketError, reg_gamma_shape_step, reg_lower_inc_gamma
 from fragsurv.survival import (
     LN2,
@@ -598,3 +601,53 @@ class TestResultTypeContract:
             with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
                 delattr(value, name)
         assert repr(value) == before
+
+
+# (type, every field in order, one field changed, repr text)
+_VALUE_ROWS = [
+    (SimSpec, {"n": 5, "event_rate": 0.5, "censor_time": None, "censor_rate": 0.25, "seed": 7}, {"seed": 8},
+     "SimSpec(n=5, event_rate=0.5, censor_time=None, censor_rate=0.25, seed=7)"),
+    (KMCurve, {"times": (1.0, 2.0), "survival": (Fraction(2, 3), Fraction(1, 3)), "at_risk": (3, 2),
+               "events": (1, 1), "censor_marks": (1.5,)}, {"censor_marks": ()},
+     "KMCurve(times=(1.0, 2.0), survival=(Fraction(2, 3), Fraction(1, 3)), at_risk=(3, 2), events=(1, 1), "
+     "censor_marks=(1.5,))"),
+    (CaseStudy, {"key": "lung-cancer", "label": "Lung", "n": 30, "events": 22, "t0": 7.0,
+                 "reported_initial_prob": 0.935, "published_fi": 5}, {"published_fi": 6},
+     "CaseStudy(key='lung-cancer', label='Lung', n=30, events=22, t0=7.0, reported_initial_prob=0.935, "
+     "published_fi=5)"),
+]
+_VALUE_IDS = [row[0].__name__ for row in _VALUE_ROWS]
+
+
+class TestSpecTypeContract:
+    """SimSpec, KMCurve and CaseStudy keep the contract of the fragility value types: positional and keyword
+    constructors, field order, equality, hash of the field tuple, repr text and immutability."""
+
+    @pytest.mark.parametrize("cls,fields,changed,text", _VALUE_ROWS, ids=_VALUE_IDS)
+    def test_constructors_equality_hash_and_repr(self, cls, fields, changed, text):
+        value = cls(*fields.values())
+        assert list(vars(value).items()) == list(fields.items())
+        assert value == cls(**fields) and hash(value) == hash(cls(**fields)) == hash(tuple(fields.values()))
+        assert value != cls(**{**fields, **changed}) and value != tuple(fields.values())
+        assert repr(value) == text
+        with pytest.raises(TypeError):
+            cls(*list(fields.values())[:-2], extra=1)
+        with pytest.raises(TypeError):
+            cls()
+
+    def test_sim_spec_defaults_and_case_study_censored(self):
+        assert SimSpec(5, 0.5) == SimSpec(n=5, event_rate=0.5, censor_time=None, censor_rate=None, seed=0)
+        assert SimSpec(5, 0.5, 2.0) == SimSpec(n=5, event_rate=0.5, censor_time=2.0)
+        assert vars(SimSpec(5, 0.5, seed=3)) == {"n": 5, "event_rate": 0.5, "censor_time": None,
+                                                 "censor_rate": None, "seed": 3}
+        assert CaseStudy("k", "K", 30, 22, 7.0, 0.935, 5).censored == 8
+
+    @pytest.mark.parametrize("cls,fields,changed,text", _VALUE_ROWS, ids=_VALUE_IDS)
+    def test_assignment_and_deletion_raise_attribute_error(self, cls, fields, changed, text):
+        value = cls(**fields)
+        for name in [*fields, "new_attribute"]:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, 1.0)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+        assert repr(value) == text
