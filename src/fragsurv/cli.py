@@ -269,13 +269,9 @@ class RowTable:
         return (dict(zip(self.keys, row)) for row in zip(*self.columns))
 
 
-def render_json(report: dict) -> str:
-    """`json.dumps(report, indent=2)` and a newline, each RowTable written as the list of its rows."""
-    return "".join(_json_report(report))
-
-
 def _json_report(report: dict) -> Iterator[str]:
-    """render_json's text in pieces, for _emit to write as they are made."""
+    """`json.dumps(report, indent=2)` and a newline, each RowTable written as the list of its rows, in
+    pieces for _emit to write as they are made."""
     yield from _json_chunks(report, "\n")
     yield "\n"
 
@@ -328,14 +324,9 @@ def _format_rows(template: str, rows: Iterable[tuple], separator: str = "") -> I
         lead = separator
 
 
-def render_text(report: dict) -> str:
-    """Human-oriented flat rendering; numbers are repr-exact but layout is unstable."""
-    return "".join(_text_chunks(report, ""))
-
-
 def _text_chunks(value: dict | list | RowTable, prefix: str) -> Iterator[str]:
-    """render_text's lines in pieces: `<prefix><key path>: <scalar>` for each scalar under `value`, each
-    RowTable formatted a chunk of rows at a time."""
+    """The text report in pieces: `<prefix><key path>: <scalar>` for each scalar under `value`, each
+    RowTable formatted a chunk of rows at a time. Numbers are repr-exact, but the layout is unstable."""
     if isinstance(value, RowTable):
         if len(value):
             rows = range(len(value))  # each row number, once before each of the row's cells

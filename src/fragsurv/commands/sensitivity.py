@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .. import cli
-from ..fragility import fragility_quotient, sensitivity_scan
+from ..fragility import fragility_quotient, reported_fi, sensitivity_scan
 
 
 def run(args) -> int:
@@ -25,7 +25,7 @@ def run(args) -> int:
             entry["initial_probability"] = cell.initial_prob
         if cell.status == "ok":
             entry["fi"] = cell.fi
-            entry["fi_text"] = str(cell.fi) if cell.fi is not None else f"> {dataset.num_censored}"
+            entry["fi_text"] = reported_fi(cell.fi, dataset.num_censored)
             entry["fq"] = cli._fraction_json(None if cell.fi is None else fragility_quotient(cell.fi, dataset.n))
         cells.append(entry)
     report = cli._report(

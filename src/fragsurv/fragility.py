@@ -38,6 +38,7 @@ __all__ = [
     "fragility_index",
     "crossing_fi",
     "crossing_outcome",
+    "reported_fi",
     "fragility_quotient",
     "calibrate",
     "sensitivity_scan",
@@ -88,7 +89,7 @@ class FragilityResult(_Value):
 
     @property
     def fi_text(self) -> str:
-        return str(self.fi) if self.attained else f"> {self.censored_count}"
+        return reported_fi(self.fi, self.censored_count)
 
 
 class GridCell(_Value):
@@ -167,10 +168,10 @@ def crossing_fi(events: int, total_time: float, censored: int, config: AnalysisC
 
     P steps down by the shape recurrence. The step is carried from one flip to the
     next as step * x / a, and formed afresh by `reg_gamma_shape_step` while it is
-    below 2**-900 or its shape is 2**53 or more, where that raises. The kernel gives
-    P(0) and decides, with the same strict `<`, each k whose recurrence value is
-    within _WINDOW of p0: a value further below p0 is the crossing, one further above
-    is not."""
+    below 2**-900. The kernel gives P(0), raises at the first flip whose shape is
+    2**53 or more, and decides, with the same strict `<`, each k whose recurrence
+    value is within _WINDOW of p0: a value further below p0 is the crossing, one
+    further above is not."""
     x, initial_prob = _initial(events, total_time, config)
     prior_shape, p0 = config.prior.shape, config.p0
     above, below = p0 + _WINDOW, p0 - _WINDOW
@@ -178,14 +179,15 @@ def crossing_fi(events: int, total_time: float, censored: int, config: AnalysisC
     step = 0.0
     a = prior_shape + events
     for k in range(1, censored + 1):
-        if not (step >= _FRESH_STEP_BELOW and a < MAX_SHAPE):
+        if step < _FRESH_STEP_BELOW:
             step = reg_gamma_shape_step(a, x)
         prob -= step
         # Shapes summed as fragility_index sums them.
         a = prior_shape + (events + k)
+        if a >= MAX_SHAPE:
+            reg_lower_inc_gamma(a, x)  # the ValueError fragility_index raises at this flip
         if not prob > above:
-            # A shape of 2**53 or more goes on to the kernel's ValueError.
-            if prob < below and a < MAX_SHAPE:
+            if prob < below:
                 return initial_prob, k
             prob = reg_lower_inc_gamma(a, x)
             if prob < p0:
@@ -208,6 +210,11 @@ def crossing_outcome(
     except (ConvergenceError, ValueError) as exc:
         return "error", None, None, str(exc)
     return "ok", initial_prob, fi, None
+
+
+def reported_fi(fi: int | None, censored: int) -> str:
+    """A search's FI as reports spell it: the index, or `> censored` when it is not attained."""
+    return str(fi) if fi is not None else f"> {censored}"
 
 
 def fragility_quotient(fi: int, n: int) -> Fraction:

@@ -89,8 +89,8 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
 
 def reg_gamma_shape_step(a: float, x: float) -> float:
     """P(a, x) - P(a + 1, x) = x^a e^{-x} / Gamma(a + 1) (DLMF 8.8.5), 0 at x = 0 and +inf.
-    Formed afresh from the kernel's prefactor. `crossing_fi` carries it as a running product
-    and calls this while the product is below 2**-900: for x >> a the product underflows.
+    Formed afresh from the kernel's prefactor. `crossing_fi` carries it as a running product,
+    which underflows for x >> a, and calls this while that is below 2**-900, at shapes below 2**53.
     Raises ValueError unless MIN_SHAPE (2**-1022) <= a < MAX_SHAPE (2**53) and x >= 0."""
     if not (isinstance(a, (int, float)) and MIN_SHAPE <= a < MAX_SHAPE and x >= 0):
         raise ValueError(f"reg_gamma_shape_step requires 2**-1022 <= a < 2**53 and x >= 0, got {a!r}, {x!r}")

@@ -32,6 +32,7 @@ from fragsurv.commands.reproduce import CASE_STUDIES, reconstruct_case_dataset, 
 from fragsurv.km import km_estimate, km_to_plot_points
 from fragsurv.sim import SimSpec, simulate_trial
 from fragsurv.specfun import BracketError, ConvergenceError
+from fragsurv.survival import AnalysisConfig, GammaParams
 
 
 DATA = Path(__file__).parent / "data"
@@ -648,12 +649,14 @@ class TestSensitivityCommand:
             "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 1e+308",
         ]
 
-    def test_a_step_shape_of_2_to_the_53_is_a_cell_error(self, monkeypatch, capsys):
-        # censored.csv has no events: P(0) is at 2**53 - 1, and the second flip's step at 2**53
+    def test_a_flip_shape_of_2_to_the_53_is_a_cell_error(self, monkeypatch, capsys):
+        # censored.csv has no events and two censored rows: from P(0) at 2**53 - 1 the first flip's shape
+        # is 2**53, and from 2**53 - 2 the second's; each cell fails there with fragility_index's error
         monkeypatch.chdir(DATA.parent.parent)
-        grid = "prior_shape=9007199254740991;t0=9.234575219833763e-17"
+        grid = "prior_shape=9007199254740991,9007199254740990;t0=9.234575219833763e-17"
         argv = ["sensitivity", "tests/data/censored.csv", "--t0", "1", "--grid", grid, "--format", "text"]
         assert main(argv) == EXIT_OK
+        error = "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 9007199254740992.0"
         assert capsys.readouterr().out == (
             "tool.name: fragsurv\n"
             "tool.version: 0.1.0\n"
@@ -664,13 +667,23 @@ class TestSensitivityCommand:
             "base_config.t0: 1.0\n"
             "base_config.p0: 0.7\n"
             "axes.prior_shape.0: 9007199254740991.0\n"
+            "axes.prior_shape.1: 9007199254740990.0\n"
             "axes.t0.0: 9.234575219833763e-17\n"
             "cells.0.params.prior_shape: 9007199254740991.0\n"
             "cells.0.params.t0: 9.234575219833763e-17\n"
             "cells.0.status: error\n"
-            "cells.0.error: reg_gamma_shape_step requires 2**-1022 <= a < 2**53 and x >= 0, "
-            "got 9007199254740992.0, 9007199539459788.0\n"
+            f"cells.0.error: {error}\n"
+            "cells.1.params.prior_shape: 9007199254740990.0\n"
+            "cells.1.params.t0: 9.234575219833763e-17\n"
+            "cells.1.status: error\n"
+            f"cells.1.error: {error}\n"
         )
+        dataset, _ = ingest_csv("tests/data/censored.csv")
+        for prior_shape in (2.0**53 - 1, 2.0**53 - 2):
+            config = AnalysisConfig(t0=9.234575219833763e-17, prior=GammaParams(prior_shape, 0.5))
+            with pytest.raises(ValueError) as excinfo:
+                fragility.fragility_index(dataset, config)
+            assert str(excinfo.value) == error
 
 
 class TestSimulateCommand:
@@ -816,8 +829,8 @@ class TestReproducePaper:
 
 
 class TestRenderJson:
-    """Every JSON report, returned by render_json or written by a command, is json.dumps(indent=2) of the
-    report with each row table expanded into its list of rows."""
+    """Every JSON report, rendered or written by a command, is json.dumps(indent=2) of the report with
+    each row table expanded into its list of rows."""
 
     UNIT = 'w}, "k\\s\u00e9'
     PATH = 'dir/a "b\\c}, "d\u00e9 \u2028{.csv'
@@ -828,14 +841,14 @@ class TestRenderJson:
 
     def _assert_written_as_json_dumps(self, report: dict, tmp_path) -> None:
         expected = self._expected(report)
-        assert cli.render_json(report) == expected
+        assert "".join(cli._render(report, "json")) == expected
         out = tmp_path / "report.json"
         cli._emit(cli._json_report(report), str(out))
         assert out.read_bytes() == expected.encode("utf-8")
 
     def _report(self, dataset):
         from fragsurv.fragility import fragility_index
-        from fragsurv.survival import AnalysisConfig, posterior_update
+        from fragsurv.survival import posterior_update
 
         config = AnalysisConfig(t0=8.0)
         posterior = posterior_update(config.prior, dataset)
@@ -914,8 +927,8 @@ class TestRenderJson:
 
 
 class TestRenderText:
-    """Every text report, returned by render_text or written by a command, is one `path: value` line per
-    scalar, in the order of the flat walk below."""
+    """Every text report, rendered or written by a command, is one `path: value` line per scalar, in the
+    order of the flat walk below."""
 
     PATH, UNIT = TestRenderJson.PATH, TestRenderJson.UNIT
 
@@ -935,7 +948,7 @@ class TestRenderText:
 
     def _assert_written_as_the_walk(self, report: dict, tmp_path) -> None:
         expected = self._expected(report)
-        assert cli.render_text(report) == expected
+        assert "".join(cli._render(report, "text")) == expected
         out = tmp_path / "report.txt"
         cli._emit(cli._render(report, "text"), str(out))
         assert out.read_bytes() == expected.encode("utf-8")

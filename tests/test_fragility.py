@@ -155,10 +155,11 @@ def counts_dataset(events, censored):
     return SurvivalDataset([1.0] * (events + censored), [1] * events + [0] * censored)
 
 
-def config_at(data, x, p0):
-    """Config whose posterior sits at P(shape, x) under the default prior."""
-    rate = posterior_update(GammaParams(0.5, 0.5), data).rate
-    return AnalysisConfig(t0=rate * LN2 / x, p0=p0)
+def config_at(data, x, p0, prior_shape=0.5):
+    """Config whose posterior sits at P(shape, x) under a prior of this shape and rate 0.5."""
+    prior = GammaParams(prior_shape, 0.5)
+    rate = posterior_update(prior, data).rate
+    return AnalysisConfig(t0=rate * LN2 / x, p0=p0, prior=prior)
 
 
 def kernel_trajectory(data, config):
@@ -176,6 +177,11 @@ def crossing_matches(data, config):
             crossing_fi(*stats, config)
         assert excinfo.value.initial_prob == exc.initial_prob
         return "not_applicable"
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            crossing_fi(*stats, config)
+        assert str(excinfo.value) == str(exc)
+        return "error"
     assert crossing_fi(*stats, config) == (expected.initial_prob, expected.fi)
     return expected.fi
 
@@ -194,28 +200,41 @@ def count_kernel_calls(monkeypatch):
 
 
 def definition_corpus(rng):
-    """Seeded (regime, (events, censored), x, p0) in each regime of the crossing search."""
+    """Seeded (regime, prior_shape, (events, censored), x, p0) in each regime of the crossing search."""
     for _ in range(200):
         events, censored = rng.randint(0, 300), rng.randint(1, 400)
         a = 0.5 + events
         p0 = rng.choice([rng.uniform(0.05, 0.95), 1 - 10 ** -rng.uniform(1, 6)])
         z = NormalDist().inv_cdf(p0) + rng.uniform(0.1, 2.0)
-        yield "near the mode", (events, censored), max(a + z * math.sqrt(a), 0.5), p0
+        yield "near the mode", 0.5, (events, censored), max(a + z * math.sqrt(a), 0.5), p0
     for _ in range(10):
         # P(0) rounds to 1.0 and keeps that value over the first flips
         events = rng.randint(0, 200)
         a = 0.5 + events
-        yield "saturated", (events, 1_500), a + rng.uniform(12, 40) * math.sqrt(a) + 60, rng.uniform(0.3, 0.999999)
+        yield "saturated", 0.5, (events, 1_500), a + rng.uniform(12, 40) * math.sqrt(a) + 60, rng.uniform(0.3, 0.999999)
     for _ in range(10):
         # the step at the starting shape is far below 2**-900
         events = rng.randint(0, 5)
         x = rng.uniform(900, 2_500)
-        yield "x >> a", (events, int(x) + 200), x, rng.uniform(0.3, 0.999999)
+        yield "x >> a", 0.5, (events, int(x) + 200), x, rng.uniform(0.3, 0.999999)
     for _ in range(10):
         events = rng.randint(100_000, 150_000)
         a = 0.5 + events
         x = a + rng.uniform(0.3, 1.5) * math.sqrt(a)
-        yield "a >= 1e5", (events, 300), x, reg_lower_inc_gamma(a, x) - rng.uniform(0.005, 0.05)
+        yield "a >= 1e5", 0.5, (events, 300), x, reg_lower_inc_gamma(a, x) - rng.uniform(0.005, 0.05)
+    for _ in range(60):
+        # a flip's shape reaches 2**53 before, at or after the crossing, or at P(0); x stays off the mode,
+        # where the kernel's O(sqrt(a)) budget takes minutes at this shape
+        events, censored = rng.randint(0, 3), rng.randint(1, 6)
+        prior_shape = 2.0**53 - rng.randint(1, censored + 2)
+        a = prior_shape + events
+        if a >= 2.0**53 or rng.random() < 0.3:
+            yield "shape bound", prior_shape, (events, censored), a * rng.uniform(1.5, 4), rng.uniform(0.3, 0.999999)
+        else:
+            # a step of about 4e-9 to 5e-11, so p0 falls inside the window of some flips and outside others
+            x = a + rng.uniform(0.5, 3) * math.sqrt(a)
+            p0 = reg_lower_inc_gamma(a, x) - rng.uniform(0, censored + 1) * reg_gamma_shape_step(a, x)
+            yield "shape bound", prior_shape, (events, censored), x, p0
 
 
 class TestCrossingFi:
@@ -264,15 +283,17 @@ class TestCrossingFi:
 
     def test_matches_the_definition_on_a_seeded_corpus(self):
         fis = {}
-        for regime, (events, censored), x, p0 in definition_corpus(random.Random(2026)):
+        for regime, prior_shape, (events, censored), x, p0 in definition_corpus(random.Random(2026)):
             if regime == "saturated":
-                assert reg_lower_inc_gamma(0.5 + events, x) == 1.0
+                assert reg_lower_inc_gamma(prior_shape + events, x) == 1.0
             if regime == "x >> a":
-                assert reg_gamma_shape_step(0.5 + events, x) < 2.0**-900
+                assert reg_gamma_shape_step(prior_shape + events, x) < 2.0**-900
             data = counts_dataset(events, censored)
-            fis.setdefault(regime, []).append(crossing_matches(data, config_at(data, x, p0)))
+            fis.setdefault(regime, []).append(crossing_matches(data, config_at(data, x, p0, prior_shape)))
         # each regime reaches its crossings, and the FIs run into the thousands
         assert all(any(isinstance(fi, int) for fi in found) for found in fis.values())
+        # at the shape bound, some searches end not attained and some fail
+        assert {None, "error"} <= set(fis["shape bound"])
         assert max(fi for found in fis.values() for fi in found if isinstance(fi, int)) >= 1_000
 
     @pytest.mark.parametrize("k", [1, 5, 12])
@@ -287,12 +308,15 @@ class TestCrossingFi:
         assert crossing_fi(20, data.total_time, 40, config) == (probs[0], k)
         assert shapes == [20.5]
 
-    def test_a_step_shape_of_2_to_the_53_raises_at_the_same_flip(self):
-        # no events: P(0) is at 2**53 - 1, and the second flip's step is at 2**53
+    @pytest.mark.parametrize("prior_shape", [2.0**53 - 1, 2.0**53 - 2])
+    def test_a_flip_shape_of_2_to_the_53_raises_at_the_same_flip(self, prior_shape):
+        # no events and two censored: the shape reaches 2**53 at the first flip, or at the last
         data = SurvivalDataset([0.3, 0.4], [0, 0])
-        config = AnalysisConfig(t0=9.234575219833763e-17, prior=GammaParams(2.0**53 - 1, 0.5))
-        error = ("reg_gamma_shape_step requires 2**-1022 <= a < 2**53 and x >= 0, "
-                 "got 9007199254740992.0, 9007199539459788.0")
+        config = AnalysisConfig(t0=9.234575219833763e-17, prior=GammaParams(prior_shape, 0.5))
+        error = "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 9007199254740992.0"
+        with pytest.raises(ValueError) as excinfo:
+            fragility_index(data, config)
+        assert str(excinfo.value) == error
         assert crossing_outcome(0, data.total_time, 2, config) == ("error", None, None, error)
 
     def test_a_crossing_at_a_shape_of_2_to_the_53_is_the_kernels_error(self):
