@@ -18,7 +18,7 @@ import math
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from . import __version__
@@ -153,12 +153,7 @@ def _parse_rows(path: Path, text: str, time_unit: str) -> SurvivalDataset:
 
 def write_csv(dataset: SurvivalDataset, path: str | Path | None) -> None:
     """Write a dataset back out in the same `time,status` format ingest_csv reads, to `path` or stdout."""
-    _emit(_csv_chunks(dataset), path)
-
-
-def _csv_chunks(dataset: SurvivalDataset) -> Iterator[str]:
-    yield "time,status\n"
-    yield from _format_rows("%r,%d\n", zip(dataset.times, dataset.events))
+    _emit(chain(("time,status\n",), _format_rows("%r,%d\n", zip(dataset.times, dataset.events))), path)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +264,6 @@ class RowTable:
         return (dict(zip(self.keys, row)) for row in zip(*self.columns))
 
 
-def _json_report(report: dict) -> Iterator[str]:
-    """`json.dumps(report, indent=2)` and a newline, each RowTable written as the list of its rows, in
-    pieces for _emit to write as they are made."""
-    yield from _json_chunks(report, "\n")
-    yield "\n"
-
-
 def _json_chunks(value, newline: str) -> Iterator[str]:
     """`value`, whose dicts have string keys, in pieces as json.dumps(indent=2) writes it at the depth
     whose line breaks are `newline`."""
@@ -298,10 +286,15 @@ def _json_chunks(value, newline: str) -> Iterator[str]:
             yield from _json_chunks(item, inner)
             opener = "," + inner
         yield newline + "]"
-    elif type(value) is int or type(value) is float and math.isfinite(value):
-        yield repr(value)  # what json writes, without building an encoder per number
     else:
-        yield "[]" if isinstance(value, RowTable) else json.dumps(value)
+        yield "[]" if isinstance(value, RowTable) else _scalar(value)
+
+
+def _scalar(value) -> str:
+    """A report scalar as json writes it: the one spelling of a leaf for the JSON and the text report."""
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)  # what json writes, without building an encoder per number
+    return json.dumps(value)
 
 
 def _row_template(table: RowTable, newline: str) -> str:
@@ -324,9 +317,10 @@ def _format_rows(template: str, rows: Iterable[tuple], separator: str = "") -> I
         lead = separator
 
 
-def _text_chunks(value: dict | list | RowTable, prefix: str) -> Iterator[str]:
+def _text_chunks(value: dict | list | tuple | RowTable, prefix: str) -> Iterator[str]:
     """The text report in pieces: `<prefix><key path>: <scalar>` for each scalar under `value`, each
-    RowTable formatted a chunk of rows at a time. Numbers are repr-exact, but the layout is unstable."""
+    RowTable formatted a chunk of rows at a time. A scalar is written as the JSON report writes it, but
+    a string unquoted; a list or tuple numbers its items from 0. The layout is not a stable interface."""
     if isinstance(value, RowTable):
         if len(value):
             rows = range(len(value))  # each row number, once before each of the row's cells
@@ -334,10 +328,10 @@ def _text_chunks(value: dict | list | RowTable, prefix: str) -> Iterator[str]:
                                     zip(*(part for column in value.columns for part in (rows, column))))
         return
     for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
-        if isinstance(sub, (dict, list, RowTable)):
+        if isinstance(sub, (dict, list, tuple, RowTable)):
             yield from _text_chunks(sub, f"{prefix}{key}.")
         else:
-            yield f"{prefix}{key}: {_text_scalar(sub)}\n"
+            yield f"{prefix}{key}: {sub if isinstance(sub, str) else _scalar(sub)}\n"
 
 
 def _text_row_template(table: RowTable, prefix: str) -> str:
@@ -347,16 +341,6 @@ def _text_row_template(table: RowTable, prefix: str) -> str:
     if table.keys is None:
         return f"{prefix}%d: {cells[0]}\n"
     return "".join(f"{prefix}%d.{key.replace('%', '%%')}: {cell}\n" for key, cell in zip(table.keys, cells))
-
-
-def _text_scalar(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +359,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, require_t0: bool = True) 
     parser.add_argument("--prior-shape", type=float, default=0.5, help="Gamma prior shape (default 0.5)")
     parser.add_argument("--prior-rate", type=float, default=0.5, help="Gamma prior rate (default 0.5)")
     parser.add_argument("--t0", type=float, required=require_t0,
-                        help="median survival threshold, in the dataset's time unit (required)")
+                        help="median survival threshold, in the dataset's time unit "
+                        + ("(required)" if require_t0 else "(required with --replications)"))
     parser.add_argument("--p0", type=float, default=0.7, help="confidence level (default 0.7)")
 
 
@@ -457,7 +442,9 @@ def _emit(chunks: Iterable[str], out: str | Path | None) -> None:
 
 
 def _render(report: dict, fmt: str) -> Iterable[str]:
-    return _json_report(report) if fmt == "json" else _text_chunks(report, "")
+    """The bytes of a report in pieces for _emit to write as they are made: for JSON, json.dumps(report,
+    indent=2) and a newline, each RowTable written as the list of its rows; else the text report."""
+    return chain(_json_chunks(report, "\n"), "\n") if fmt == "json" else _text_chunks(report, "")
 
 
 def _cmd_report(args) -> int:

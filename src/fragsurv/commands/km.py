@@ -26,7 +26,7 @@ def run(args) -> int:
             "points": cli.RowTable.of_tuples(("time", "survival"), points),
             "censor_ticks": cli.RowTable.of_tuples(("time", "survival"), ticks),
         }
-        cli._emit(cli._json_report(payload), args.points_out)
+        cli._emit(cli._render(payload, "json"), args.points_out)
     return cli.EXIT_OK
 
 

@@ -31,7 +31,7 @@ def run(args) -> int:
     report = cli._report(
         input={"path": str(args.csv), "sha256": sha256},
         base_config=cli._config_json(base),
-        axes={name: list(values) for name, values in grid.axes.items()},
+        axes=grid.axes,
         cells=cells,
     )
     cli._emit(cli._render(report, args.format), args.out)

@@ -284,19 +284,11 @@ def sensitivity_scan(
     cells = []
     for combo in itertools.product(*ordered.values()):
         params = dict(zip(ordered.keys(), combo))
-        cells.append(_evaluate_cell(stats, base, params))
+        try:
+            prior = GammaParams(params.get("prior_shape", base.prior.shape), params.get("prior_rate", base.prior.rate))
+            config = AnalysisConfig(params.get("t0", base.t0), params.get("p0", base.p0), prior)
+        except ValueError as exc:
+            cells.append(GridCell(params, "error", error=str(exc)))
+        else:
+            cells.append(GridCell(params, *crossing_outcome(*stats, config)))
     return SensitivityGrid(axes=ordered, cells=tuple(cells))
-
-
-def _evaluate_cell(
-    stats: tuple[int, float, int], base: AnalysisConfig, params: dict[str, float]
-) -> GridCell:
-    try:
-        prior = GammaParams(
-            params.get("prior_shape", base.prior.shape),
-            params.get("prior_rate", base.prior.rate),
-        )
-        config = AnalysisConfig(params.get("t0", base.t0), params.get("p0", base.p0), prior)
-    except ValueError as exc:
-        return GridCell(params, "error", error=str(exc))
-    return GridCell(params, *crossing_outcome(*stats, config))

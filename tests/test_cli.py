@@ -843,7 +843,7 @@ class TestRenderJson:
         expected = self._expected(report)
         assert "".join(cli._render(report, "json")) == expected
         out = tmp_path / "report.json"
-        cli._emit(cli._json_report(report), str(out))
+        cli._emit(cli._render(report, "json"), str(out))
         assert out.read_bytes() == expected.encode("utf-8")
 
     def _report(self, dataset):
@@ -918,7 +918,7 @@ class TestRenderJson:
         out = tmp_path / "km.json"
         tracemalloc.start()
         try:
-            cli._emit(cli._json_report(report), str(out))
+            cli._emit(cli._render(report, "json"), str(out))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -928,7 +928,7 @@ class TestRenderJson:
 
 class TestRenderText:
     """Every text report, rendered or written by a command, is one `path: value` line per scalar, in the
-    order of the flat walk below."""
+    order of the flat walk below, with each value written as json writes it but a string unquoted."""
 
     PATH, UNIT = TestRenderJson.PATH, TestRenderJson.UNIT
 
@@ -938,10 +938,10 @@ class TestRenderText:
 
         def walk(prefix, value):
             for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
-                if isinstance(sub, (dict, list, cli.RowTable)):
+                if isinstance(sub, (dict, list, tuple, cli.RowTable)):
                     walk(f"{prefix}{key}.", sub)  # a RowTable iterates as its rows
                 else:
-                    lines.append(f"{prefix}{key}: {cli._text_scalar(sub)}")
+                    lines.append(f"{prefix}{key}: {sub if isinstance(sub, str) else json.dumps(sub)}")
 
         walk("", report)
         return "\n".join(lines) + "\n"
@@ -952,6 +952,15 @@ class TestRenderText:
         out = tmp_path / "report.txt"
         cli._emit(cli._render(report, "text"), str(out))
         assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_each_leaf_is_written_as_its_json(self, tmp_path):
+        # a tuple is numbered like the list that JSON writes, and each scalar is spelled as JSON spells it
+        report = {"a": (1, 2.5), "b": None, "c": True, "d": 7, "e": 0.1, "f": 'x "y" \u00e9',
+                  "g": {"h": [False, (), {"i": (3,)}]}}
+        text = "".join(cli._render(report, "text"))
+        assert text == self._expected(json.loads("".join(cli._render(report, "json"))))
+        assert text.startswith("a.0: 1\na.1: 2.5\nb: null\nc: true\nd: 7\ne: 0.1\nf: x \"y\" \u00e9\n")
+        self._assert_written_as_the_walk(report, tmp_path)
 
     @pytest.mark.parametrize("chunk", [7, cli._CHUNK_ROWS])
     def test_at_300_and_301_subjects(self, tmp_path, monkeypatch, chunk):
