@@ -370,10 +370,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _time_unit(label: str) -> str:
-    """The --time-unit label, if XML 1.0 allows each of its characters, so the SVG and UTF-8 output hold it."""
+    """The --time-unit label, if XML 1.0 allows each of its characters, so the SVG and UTF-8 output hold it,
+    and none breaks a line, so a text report keeps one line per value."""
     bad = re.search("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", label)
     if bad:
         raise argparse.ArgumentTypeError(f"character {bad.group()!r} is not allowed in XML 1.0 text")
+    # the line boundaries of str.splitlines that XML 1.0 allows
+    bad = re.search("[\n\r\x85\u2028\u2029]", label)
+    if bad:
+        raise argparse.ArgumentTypeError(f"character {bad.group()!r} would break a line of a text report")
     return label
 
 

@@ -51,10 +51,10 @@ _CALIBRATE_BRACKET_LO = 1e-12
 _CALIBRATE_BRACKET_TOL = 1e-12
 _CALIBRATE_MAX_DOUBLINGS = 200
 
-# The recurrence with a carried step stayed within 5.3e-13 of the kernel over 2314
+# The recurrence with a carried step stayed within 3.1e-13 of the kernel over 2314
 # seeded starts x 400 steps (a in [0.3, 7.5e5], x in [a - 10 sqrt(a), 50 a]), and
-# within 1.0e-11 on runs of up to 3.3e4 steps through the mode (README, Numerics);
-# the kernel is pinned at 1e-12.
+# within 1.0e-11 on runs of up to 3e4 steps through the mode (README, Numerics);
+# the kernel is pinned at 5e-14 below a = 500 and 1e-15 above a = 1000.
 _WINDOW = 1e-9
 # A carried step below this may have lost bits to underflow (x >> a), or be 0 for good.
 _FRESH_STEP_BELOW = 2.0**-900

@@ -1,7 +1,8 @@
 """Independent oracles used across the test suite.
 
 Everything here deliberately avoids the code paths under test: erf comes
-from its own power series, square roots from exact integer arithmetic,
+from its own power series, the incomplete gamma at large shapes from mpmath
+at 40 digits, square roots from exact integer arithmetic,
 Kaplan-Meier from a quadratic-time recount in exact rationals, the
 fragility search from a direct scan built on scipy's incomplete gamma, and
 the Monte Carlo histogram from one dataset and one kernel-evaluated search
@@ -10,11 +11,15 @@ per replication.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
+import mpmath
 from scipy.special import gammainc as scipy_gammainc
 
 from fragsurv.fragility import NotFragileApplicableError, fragility_index
@@ -51,6 +56,65 @@ def erf_series(z: float) -> float:
         n += 1
         term *= 2.0 * z * z / (2 * n + 1)
     return two_over_sqrt_pi * z * math.exp(-z * z) * total
+
+
+def mp_reg_lower_inc_gamma(a: float, x: float) -> float:
+    """P(a, x) to 40 digits in mpmath arithmetic: the power series for x < a, else 1 - the Legendre
+    continued fraction for Q. O(sqrt(a)) terms near x = a, so meant for shapes up to about 1e6; there
+    mpmath's own gammainc raises NoConvergence at some points (x = a + 5 sqrt(a))."""
+    with mpmath.workdps(50):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        tol = mpmath.mpf(10) ** -45
+        prefactor = mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a))
+        if x < a:
+            term = total = 1 / a
+            n = 0
+            while term > tol * total:
+                n += 1
+                term *= x / (a + n)
+                total += term
+            return float(prefactor * total)
+        # modified Lentz; b = x + 1 - a >= 1, so no denominator starts at 0
+        b = x + 1 - a
+        c, d = mpmath.mpf(10) ** 60, 1 / b
+        h = d
+        i = 0
+        while True:
+            i += 1
+            an = -i * (i - a)
+            b += 2
+            d = 1 / (an * d + b)
+            c = b + an / c
+            delta = c * d
+            h *= delta
+            if abs(delta - 1) < tol:
+                return float(1 - prefactor * h)
+
+
+@cache
+def temme_table_exact() -> tuple[tuple[Fraction, ...], ...]:
+    """The exact rational coefficients that tools/temme_coefficients.py derives."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "temme_coefficients.py"
+    spec = importlib.util.spec_from_file_location("temme_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return tuple(map(tuple, module.temme_table()))
+
+
+def mp_temme_lower(a: float, x: float) -> float:
+    """P(a, x) by the expansion `specfun` uses (DLMF 8.12.8, the same rows and columns), with exact
+    coefficients, at 40 digits. Judges the kernel's rounding where no series is affordable."""
+    with mpmath.workdps(60):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        s = (x - a) / a
+        log1pmx = mpmath.log1p(s) - s
+        eta = mpmath.sign(s) * mpmath.sqrt(-2 * log1pmx)
+        total = mpmath.mpf(0)
+        for k, row in enumerate(temme_table_exact()):
+            c = sum(mpmath.mpf(d.numerator) / d.denominator * eta**n for n, d in enumerate(row))
+            total += c / a**k
+        return float(mpmath.erfc(-eta * mpmath.sqrt(a / 2)) / 2
+                     - mpmath.exp(a * log1pmx) / mpmath.sqrt(2 * mpmath.pi * a) * total)
 
 
 def long_division_sqrt(value: int, digits: int) -> float:

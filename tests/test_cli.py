@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from statistics import NormalDist
 from xml.dom import minidom
 
 import pytest
@@ -32,7 +33,9 @@ from fragsurv.commands.reproduce import CASE_STUDIES, reconstruct_case_dataset, 
 from fragsurv.km import km_estimate, km_to_plot_points
 from fragsurv.sim import SimSpec, simulate_trial
 from fragsurv.specfun import BracketError, ConvergenceError
-from fragsurv.survival import AnalysisConfig, GammaParams
+from fragsurv.survival import LN2, AnalysisConfig, GammaParams
+
+from oracles import mp_temme_lower
 
 
 DATA = Path(__file__).parent / "data"
@@ -195,6 +198,20 @@ class TestIngestCsv:
         code = main([command, demo_csv, "--t0", "1", "--prior-shape", "9007199254740986"])
         assert code == (EXIT_OK if command == "analyze" else EXIT_NOT_APPLICABLE)
         assert json.loads(capsys.readouterr().out)["initial_probability"] == 0.0
+
+    def test_prior_shape_of_1e14_gives_the_reference_probability(self, demo_csv, capsys):
+        # demo.csv has 3 events and 18 months of follow-up; the prior rate puts x at a - 4.5 sqrt(a), where the
+        # series would need O(sqrt(a)), about 1e8, terms
+        a = 1e14 + 3
+        rate = (a - 4.5 * math.sqrt(a)) / LN2 - 18.0
+        assert main(["analyze", demo_csv, "--t0", "1", "--prior-shape", "1e14", "--prior-rate", repr(rate)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["posterior"]["shape"] == a
+        x = report["posterior"]["rate"] * LN2 / 1.0
+        assert abs((x - a) / math.sqrt(a) + 4.5) <= 1e-6
+        expected = mp_temme_lower(a, x)
+        assert abs(expected - NormalDist().cdf(-4.5)) <= 1e-9
+        assert abs(report["initial_probability"] - expected) <= 1e-16
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     @pytest.mark.parametrize("argv", [["analyze", "--t0", "2"], ["sensitivity", "--t0", "2", "--grid", "p0=0.5"]],
@@ -562,6 +579,29 @@ class TestKmCommand:
             f"fragsurv: input-error: argument --time-unit: character {bad!r} is not allowed in XML 1.0 text\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("unit", ["weeks\nfragility.fi: 99", "a\rb", "a\x85b", "a\u2028b", "a\u2029b", "\r\n"])
+    @pytest.mark.parametrize("argv", [["km"], ["analyze", "--t0", "2", "--format", "text"],
+                                      ["fi", "--t0", "2", "--format", "text"],
+                                      ["sensitivity", "--t0", "2", "--grid", "p0=0.5"]], ids=lambda a: a[0])
+    def test_labels_that_break_a_line_are_input_errors(self, demo_csv, tmp_path, capsys, argv, unit):
+        # XML 1.0 allows these, but in a text report the rest of the label would read as a report line
+        out = tmp_path / "out"
+        assert main([argv[0], demo_csv, *argv[1:], "--time-unit", unit, "--out", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = next(c for c in unit if c in "\n\r\x85\u2028\u2029")
+        assert captured.err.endswith(
+            f"fragsurv: input-error: argument --time-unit: character {bad!r} would break a line of a text report\n"
+        )
+        assert not out.exists()
+
+    def test_every_line_boundary_of_splitlines_is_refused(self):
+        boundaries = [chr(i) for i in range(0x110000) if len(f"a{chr(i)}b".splitlines()) > 1]
+        assert boundaries == list("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
+        for char in boundaries:
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._time_unit(f"a{char}b")
 
     def test_all_censored_flat_polyline(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"

@@ -223,8 +223,7 @@ def definition_corpus(rng):
         x = a + rng.uniform(0.3, 1.5) * math.sqrt(a)
         yield "a >= 1e5", 0.5, (events, 300), x, reg_lower_inc_gamma(a, x) - rng.uniform(0.005, 0.05)
     for _ in range(60):
-        # a flip's shape reaches 2**53 before, at or after the crossing, or at P(0); x stays off the mode,
-        # where the kernel's O(sqrt(a)) budget takes minutes at this shape
+        # a flip's shape reaches 2**53 before, at or after the crossing, or at P(0); x stays off the mode
         events, censored = rng.randint(0, 3), rng.randint(1, 6)
         prior_shape = 2.0**53 - rng.randint(1, censored + 2)
         a = prior_shape + events
@@ -328,6 +327,24 @@ class TestCrossingFi:
         config = AnalysisConfig(t0=t0, p0=p0, prior=GammaParams(a, 0.5))
         error = "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 9007199254740992.0"
         assert crossing_outcome(0, 3.0, 3, config) == ("error", None, None, error)
+
+    def test_grid_cells_at_the_mode_of_a_shape_of_2_to_the_53_minus_2_are_the_definitions(self):
+        # no events and two censored, x at the shape: P(0) is one O(1) kernel call, where the series would need
+        # about 1e9 terms; a p0 half a step below P(0) is crossed at the first flip, one 1.5 steps below is not,
+        # and the second flip's shape is 2**53
+        data = SurvivalDataset([0.3, 0.4], [0, 0])
+        a = 2.0**53 - 2
+        base = config_at(data, a, 0.5, prior_shape=a)
+        x = posterior_update(base.prior, data).rate * LN2 / base.t0
+        p, step = reg_lower_inc_gamma(a, x), reg_gamma_shape_step(a, x)
+        assert abs(p - 0.5) <= 1e-7
+        grid = sensitivity_scan(data, base, {"prior_shape": [9007199254740990], "p0": [p - step / 2, p - 1.5 * step]})
+        error = "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 9007199254740992.0"
+        assert [(c.status, c.initial_prob, c.fi, c.error) for c in grid.cells] == [
+            ("ok", p, 1, None), ("error", None, None, error)]
+        for cell, expected in zip(grid.cells, [1, "error"]):
+            config = AnalysisConfig(base.t0, cell.params["p0"], GammaParams(a, 0.5))
+            assert crossing_matches(data, config) == expected
 
 
 class TestFragilityQuotient:

@@ -1,5 +1,9 @@
+import ast
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,15 @@ from fragsurv.specfun import (
     reg_lower_inc_gamma,
 )
 
-from oracles import erf_series, long_division_sqrt
+from oracles import erf_series, long_division_sqrt, mp_reg_lower_inc_gamma, mp_temme_lower, temme_table_exact
+
+# scipy's gammainc is the judge below a = 5e5. From there on it is wrong for |x - a| > 4.5 sqrt(a), outside its
+# own asymptotic band (off by 1.2e-12 at a = 1e6, x = a - 5 sqrt(a)), and mpmath at 40 digits judges instead.
+_SCIPY_GOOD_BELOW = 5e5
+
+
+def judge(a, x):
+    return scipy_gammainc(a, x) if a < _SCIPY_GOOD_BELOW else mp_reg_lower_inc_gamma(a, x)
 
 
 class TestRegLowerIncGamma:
@@ -121,10 +133,9 @@ class TestRegLowerIncGamma:
     @pytest.mark.parametrize("a", [3500.5, 14000.5, 1e5, 1e6])
     @pytest.mark.parametrize("offset", [-3.0, -1.0, 0.0, 1.0, 3.0])
     def test_large_shapes_match_scipy_near_the_mode(self, a, offset):
-        # x = a + offset * sqrt(a), with a + 1 (the series/fraction split)
-        # standing in for offset 0; both schemes need O(sqrt(a)) terms here
+        # x = a + offset * sqrt(a), with a + 1 standing in for offset 0; all inside Temme's band
         x = a + 1.0 if offset == 0.0 else a + offset * math.sqrt(a)
-        assert abs(reg_lower_inc_gamma(a, x) - scipy_gammainc(a, x)) <= 1e-12
+        assert abs(reg_lower_inc_gamma(a, x) - judge(a, x)) <= 2.5e-16
 
     def test_small_shapes_match_scipy_on_a_seeded_sweep(self):
         rng = random.Random(20240917)
@@ -140,6 +151,68 @@ class TestRegLowerIncGamma:
         # the log prefactor changes form at |x - a| = 0.4 a
         x = a + side * 0.4 * a * scale
         assert abs(reg_lower_inc_gamma(a, x) - scipy_gammainc(a, x)) <= 5e-14
+
+    def test_temme_band_matches_mpmath_on_a_seeded_sweep(self):
+        # a log-uniform in [1e3, 2e5]; x within 10 sqrt(a) of a, or anywhere in |x - a| <= 0.3 a
+        rng = random.Random(20261020)
+        for i in range(300):
+            a = math.exp(rng.uniform(math.log(1e3), math.log(2e5)))
+            x = a + rng.uniform(-10.0, 10.0) * math.sqrt(a) if i % 2 else a * (1.0 + rng.uniform(-0.3, 0.3))
+            assert abs(reg_lower_inc_gamma(a, x) - mp_reg_lower_inc_gamma(a, x)) <= 1e-15, (a, x)
+
+    @pytest.mark.parametrize("a", [1e6, 1e8, 1e12, 2.0**53 - 2])
+    def test_huge_shapes_match_the_expansion_at_40_digits(self, a):
+        # no series is affordable here; the 4 x 12 truncation is below 1e-30 from a = 1e6 on, so this
+        # judges the rounding of eta, erfc and the Horner sums
+        root = math.sqrt(a)
+        for x in [a + z * root for z in (-9.0, -4.67, -1.0, 0.0, 0.5, 4.5, 9.0)] + [a * 0.71, a * 0.99999, a * 1.29]:
+            assert abs(reg_lower_inc_gamma(a, x) - mp_temme_lower(a, x)) <= 2.5e-16, (a, x)
+
+    def test_at_the_mode_of_the_largest_shape(self):
+        # P(a, a) = 1/2 + 1/(3 sqrt(2 pi a)) + O(a^-3/2); the series would need about 1e9 terms here
+        a = 2.0**53 - 2
+        assert abs(reg_lower_inc_gamma(a, a) - (0.5 + 1.0 / (3.0 * math.sqrt(2.0 * math.pi * a)))) <= 1.2e-16
+
+    @pytest.mark.parametrize("a", [1000.0, 14000.5, 1e14])
+    def test_eta_is_zero_at_x_equal_to_a(self, a):
+        assert abs(reg_lower_inc_gamma(a, a) - mp_temme_lower(a, a)) <= 1.2e-16
+
+    def test_the_band_takes_no_series_and_no_continued_fraction(self, monkeypatch):
+        def fail(a, x):
+            raise AssertionError(f"O(sqrt(a)) scheme called at a={a}, x={x}")
+
+        monkeypatch.setattr(specfun, "_lower_gamma_series", fail)
+        monkeypatch.setattr(specfun, "_upper_gamma_cont_fraction", fail)
+        for a in (1000.0, 14000.5, 1e14, 2.0**53 - 2):
+            for x in (a * 0.71, a - math.sqrt(a), a, a + 1.0, a + 9.0 * math.sqrt(a), a * 1.29):
+                assert 0.0 <= reg_lower_inc_gamma(a, x) <= 1.0
+        # outside the band, and below a = 1000, the O(sqrt(a)) schemes stay
+        for a, x in ((1000.0, 1300.5), (1000.0, 699.5), (999.5, 999.5)):
+            with pytest.raises(AssertionError, match="O\\(sqrt\\(a\\)\\) scheme"):
+                reg_lower_inc_gamma(a, x)
+
+    @pytest.mark.parametrize("z", [-4.5, -1.0, 0.0, 1.0, 4.0, 9.0])
+    def test_monotone_in_shape_across_the_switch_at_1000(self, z):
+        x = 1000.0 + z * math.sqrt(1000.0)
+        shapes = [1000.0 + j / 64 for j in range(-64, 65)]
+        probs = [reg_lower_inc_gamma(a, x) for a in shapes]
+        assert all(p >= q for p, q in zip(probs, probs[1:]))
+        # strictly so, where 1 - P is not below the rounding of P
+        assert all(p > q for p, q in zip(probs, probs[1:]) if p < 0.999)
+        assert abs(probs[63] - judge(shapes[63], x)) <= 5e-14
+        assert abs(probs[64] - judge(shapes[64], x)) <= 2.5e-16
+
+    def test_coefficients_are_what_the_tool_prints(self):
+        # tools/temme_coefficients.py derives them in Fraction arithmetic, with the standard library alone
+        tool = Path(__file__).resolve().parent.parent / "tools" / "temme_coefficients.py"
+        printed = subprocess.run([sys.executable, "-I", str(tool)], capture_output=True, text=True, check=True).stdout
+        assert [[c.hex() for c in row] for row in specfun._TEMME] == [
+            [c.hex() for c in row] for row in ast.literal_eval(printed)
+        ]
+        assert [[c.hex() for c in row] for row in specfun._TEMME] == [
+            [float(c).hex() for c in row] for row in temme_table_exact()
+        ]
+        assert specfun._TEMME[0][:3] == (-1 / 3, 1 / 12, -2 / 135)
 
     def test_tiny_x_far_below_a_moderate_shape(self):
         # (x - a) / a rounds to -1 here, outside the domain of log1p
@@ -162,9 +235,10 @@ class TestRegGammaShapeStep:
     @pytest.mark.parametrize("a", [1e3, 1e5, 1e6])
     @pytest.mark.parametrize("offset", [-5.0, -1.0, 0.0, 1.0, 5.0])
     def test_large_shapes_match_scipy_near_the_mode(self, a, offset):
+        # at a = 1e6 and offset -5 scipy's step is off by 8.5e-15: mpmath judges from 5e5 on
         x = a + offset * math.sqrt(a)
-        expected = scipy_gammainc(a, x) - scipy_gammainc(a + 1.0, x)
-        assert abs(reg_gamma_shape_step(a, x) - expected) <= 5e-14
+        expected = judge(a, x) - judge(a + 1.0, x)
+        assert abs(reg_gamma_shape_step(a, x) - expected) <= 3e-16
 
     @pytest.mark.parametrize("a", [0.1, 1.0, 500.0, 1e6])
     def test_zero_at_both_ends_of_x(self, a):
