@@ -238,6 +238,8 @@ def build_report(
 
 # Rows formatted into one string at a time: a chunk of KM steps is about 0.3 MB.
 _CHUNK_ROWS = 2048
+# The line boundaries of str.splitlines: a text-report string that holds one is written quoted.
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 class RowTable:
@@ -320,7 +322,8 @@ def _format_rows(template: str, rows: Iterable[tuple], separator: str = "") -> I
 def _text_chunks(value: dict | list | tuple | RowTable, prefix: str) -> Iterator[str]:
     """The text report in pieces: `<prefix><key path>: <scalar>` for each scalar under `value`, each
     RowTable formatted a chunk of rows at a time. A scalar is written as the JSON report writes it, but
-    a string unquoted; a list or tuple numbers its items from 0. The layout is not a stable interface."""
+    a string unquoted unless it holds a line break; a list or tuple numbers its items from 0. The layout
+    is not a stable interface."""
     if isinstance(value, RowTable):
         if len(value):
             rows = range(len(value))  # each row number, once before each of the row's cells
@@ -331,7 +334,8 @@ def _text_chunks(value: dict | list | tuple | RowTable, prefix: str) -> Iterator
         if isinstance(sub, (dict, list, tuple, RowTable)):
             yield from _text_chunks(sub, f"{prefix}{key}.")
         else:
-            yield f"{prefix}{key}: {sub if isinstance(sub, str) else _scalar(sub)}\n"
+            plain = isinstance(sub, str) and not _LINE_BREAK.search(sub)
+            yield f"{prefix}{key}: {sub if plain else _scalar(sub)}\n"
 
 
 def _text_row_template(table: RowTable, prefix: str) -> str:
@@ -375,8 +379,7 @@ def _time_unit(label: str) -> str:
     bad = re.search("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", label)
     if bad:
         raise argparse.ArgumentTypeError(f"character {bad.group()!r} is not allowed in XML 1.0 text")
-    # the line boundaries of str.splitlines that XML 1.0 allows
-    bad = re.search("[\n\r\x85\u2028\u2029]", label)
+    bad = _LINE_BREAK.search(label)
     if bad:
         raise argparse.ArgumentTypeError(f"character {bad.group()!r} would break a line of a text report")
     return label

@@ -16,8 +16,8 @@ after k flips is P(shape + k, rate ln 2 / t0).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .specfun import MAX_SHAPE, BracketError, ConvergenceError, bisect_root, reg_gamma_shape_step, reg_lower_inc_gamma
 from .survival import (
@@ -36,7 +36,6 @@ __all__ = [
     "GridCell",
     "SensitivityGrid",
     "fragility_index",
-    "crossing_fi",
     "crossing_outcome",
     "reported_fi",
     "fragility_quotient",
@@ -163,53 +162,47 @@ def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityR
     )
 
 
-def crossing_fi(events: int, total_time: float, censored: int, config: AnalysisConfig) -> tuple[float, int | None]:
-    """(initial_prob, fi) of fragility_index from the data's sufficient statistics; raises as it does.
-
-    P steps down by the shape recurrence. The step is carried from one flip to the
-    next as step * x / a, and formed afresh by `reg_gamma_shape_step` while it is
-    below 2**-900. The kernel gives P(0), raises at the first flip whose shape is
-    2**53 or more, and decides, with the same strict `<`, each k whose recurrence
-    value is within _WINDOW of p0: a value further below p0 is the crossing, one
-    further above is not."""
-    x, initial_prob = _initial(events, total_time, config)
-    prior_shape, p0 = config.prior.shape, config.p0
-    above, below = p0 + _WINDOW, p0 - _WINDOW
-    prob = initial_prob
-    step = 0.0
-    a = prior_shape + events
-    for k in range(1, censored + 1):
-        if step < _FRESH_STEP_BELOW:
-            step = reg_gamma_shape_step(a, x)
-        prob -= step
-        # Shapes summed as fragility_index sums them.
-        a = prior_shape + (events + k)
-        if a >= MAX_SHAPE:
-            reg_lower_inc_gamma(a, x)  # the ValueError fragility_index raises at this flip
-        if not prob > above:
-            if prob < below:
-                return initial_prob, k
-            prob = reg_lower_inc_gamma(a, x)
-            if prob < p0:
-                return initial_prob, k
-        step = step * x / a
-    return initial_prob, None
-
-
 def crossing_outcome(
     events: int, total_time: float, censored: int, config: AnalysisConfig
 ) -> tuple[str, float | None, int | None, str | None]:
-    """(status, initial_prob, fi, error) of `crossing_fi`, which this alone calls and catches.
+    """(status, initial_prob, fi, error) of fragility_index on data with these sufficient statistics.
 
     status is "ok" (fi None if not attained), "not_applicable" (with initial_prob) or
-    "error" (a numerical error or an invalid value, with its message)."""
+    "error" (a numerical error or an invalid value, with its message).
+
+    P steps down by the shape recurrence. The step is carried from one flip to the
+    next as step * x / a, and formed afresh by `reg_gamma_shape_step` while it is
+    below 2**-900. The kernel gives P(0), fails the search at the first flip whose
+    shape is 2**53 or more, and decides, with the same strict `<`, each k whose
+    recurrence value is within _WINDOW of p0: a value further below p0 is the
+    crossing, one further above is not."""
     try:
-        initial_prob, fi = crossing_fi(events, total_time, censored, config)
+        x, initial_prob = _initial(events, total_time, config)
+        prior_shape, p0 = config.prior.shape, config.p0
+        above, below = p0 + _WINDOW, p0 - _WINDOW
+        prob = initial_prob
+        step = 0.0
+        a = prior_shape + events
+        for k in range(1, censored + 1):
+            if step < _FRESH_STEP_BELOW:
+                step = reg_gamma_shape_step(a, x)
+            prob -= step
+            # Shapes summed as fragility_index sums them.
+            a = prior_shape + (events + k)
+            if a >= MAX_SHAPE:
+                reg_lower_inc_gamma(a, x)  # the ValueError fragility_index raises at this flip
+            if not prob > above:
+                if prob < below:
+                    return "ok", initial_prob, k, None
+                prob = reg_lower_inc_gamma(a, x)
+                if prob < p0:
+                    return "ok", initial_prob, k, None
+            step = step * x / a
     except NotFragileApplicableError as exc:
         return "not_applicable", exc.initial_prob, None, None
     except (ConvergenceError, ValueError) as exc:
         return "error", None, None, str(exc)
-    return "ok", initial_prob, fi, None
+    return "ok", initial_prob, None, None
 
 
 def reported_fi(fi: int | None, censored: int) -> str:

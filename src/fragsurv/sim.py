@@ -130,43 +130,46 @@ def _uniforms(states: list[int], count: int) -> list[float]:
 
 
 def _observed(spec: SimSpec, states: Iterable[int]):
-    """Yield (times, events, subjects) over `spec.n` subjects of each stream, in order.
+    """Yield (times, events) of the `spec.n` subjects of each stream, stream after stream.
 
-    A block holds as many whole streams of `subjects` subjects as fit in _BLOCK draws or, when one
-    stream does not fit, the next `subjects` subjects of one stream. Subject i of a stream draws
-    U (and U' when censoring is exponential): T = -ln(U) / event_rate; C = censor_time,
-    -ln(U') / censor_rate or inf; its time is min(T, C) and its event T <= C."""
+    A block draws as many whole streams as fit in _BLOCK draws or, when one stream does not fit,
+    the next piece of one stream; the pieces are joined before the stream is yielded. Subject i of
+    a stream draws U (and U' when censoring is exponential): T = -ln(U) / event_rate;
+    C = censor_time, -ln(U') / censor_rate or inf; its time is min(T, C) and its event T <= C."""
+    n = spec.n
     per = 1 if spec.censor_rate is None else 2
     step = _BLOCK // per
-    if spec.n <= step:
+    if n <= step:
         states = iter(states)
-        blocks = ((group, spec.n) for group in iter(lambda: list(islice(states, step // spec.n)), []))
+        blocks = ((group, n) for group in iter(lambda: list(islice(states, step // n)), []))
     else:
         # the piece at subject offset o of a stream starts o·per draws further on
-        blocks = (
-            ([s + o * per * _GOLDEN], min(step, spec.n - o)) for s in states for o in range(0, spec.n, step)
-        )
+        blocks = (([s + o * per * _GOLDEN], min(step, n - o)) for s in states for o in range(0, n, step))
+    times, events = [], bytearray()
     for starts, subjects in blocks:
         logs = list(map(math.log, _uniforms(starts, subjects * per)))
         t = list(map(truediv, logs[::per], repeat(-spec.event_rate)))
         if spec.censor_rate is not None:
             c = list(map(truediv, logs[1::2], repeat(-spec.censor_rate)))
-            yield [x if x <= y else y for x, y in zip(t, c)], bytes(map(le, t, c)), subjects
+            times += [x if x <= y else y for x, y in zip(t, c)]
+            events += bytes(map(le, t, c))
         elif spec.censor_time is not None:
             c = spec.censor_time
-            yield [x if x <= c else c for x in t], bytes(map(le, t, repeat(c))), subjects
+            times += [x if x <= c else c for x in t]
+            events += bytes(map(le, t, repeat(c)))
         else:
-            yield t, b"\x01" * len(t), subjects
+            times += t
+            events += b"\x01" * len(t)
+        if len(times) >= n:  # the block ends a stream
+            for k in range(0, len(times), n):
+                yield times[k:k + n], events[k:k + n]
+            times, events = [], bytearray()
 
 
 def simulate_trial(spec: SimSpec) -> SurvivalDataset:
-    """One dataset of `spec.n` subjects drawn from the stream of `spec.seed`, in blocks of
-    `_observed`; identical seeds give bit-identical datasets."""
-    times, events = [], bytearray()
-    for block_times, block_events, _ in _observed(spec, [spec.seed]):
-        times += block_times
-        events += block_events
-    return SurvivalDataset(times, events)
+    """One dataset of `spec.n` subjects drawn from the stream of `spec.seed` by `_observed`;
+    identical seeds give bit-identical datasets."""
+    return SurvivalDataset(*next(_observed(spec, [spec.seed])))
 
 
 def fi_distribution(
@@ -185,15 +188,8 @@ def fi_distribution(
     if not (isinstance(replications, int) and replications >= 1):
         raise ValueError(f"replications must be a positive integer, got {replications!r}")
     counts: Counter[int | str] = Counter()
-    # a replication longer than one block carries its running statistics into the next
-    events, total_time, seen = 0, 0.0, 0
-    for times, flags, subjects in _observed(spec, (substream_seed(spec.seed, i) for i in range(replications))):
-        for k in range(0, len(times), subjects):
-            events += flags.count(1, k, k + subjects)
-            total_time = _row_order_total(times[k:k + subjects], total_time)
-            seen += subjects
-            if seen == spec.n:
-                status, _, fi, _ = crossing_outcome(events, total_time, spec.n - events, config)
-                counts[status if status != "ok" else "not_attained" if fi is None else fi] += 1
-                events, total_time, seen = 0, 0.0, 0
+    for times, flags in _observed(spec, (substream_seed(spec.seed, i) for i in range(replications))):
+        events = flags.count(1)
+        status, _, fi, _ = crossing_outcome(events, _row_order_total(times), spec.n - events, config)
+        counts[status if status != "ok" else "not_attained" if fi is None else fi] += 1
     return dict(counts)

@@ -157,10 +157,10 @@ class AnalysisConfig(_Value):
         vars(self).update(t0=t0, p0=float(p0), prior=prior)
 
 
-def _row_order_total(times: Iterable[float], start: float = 0.0) -> float:
-    """`start` plus `times` by plain row-order addition: the same bits on every Python version (sum() of floats is
+def _row_order_total(times: Iterable[float]) -> float:
+    """The sum of `times` by plain row-order addition: the same bits on every Python version (sum() of floats is
     compensated from 3.12 on)."""
-    return reduce(add, times, start)
+    return reduce(add, times, 0.0)
 
 
 def log_likelihood(data: SurvivalDataset, rate: float) -> float:

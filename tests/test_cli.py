@@ -596,6 +596,15 @@ class TestKmCommand:
         )
         assert not out.exists()
 
+    def test_a_path_that_breaks_a_line_forges_no_report_line(self, demo_csv, tmp_path, capsys):
+        # a path cannot be refused, so the text report quotes it as JSON does
+        path = tmp_path / "d\nfragility.fi: 99.csv"
+        path.write_bytes(Path(demo_csv).read_bytes())
+        assert main(["analyze", str(path), "--t0", "2", "--format", "text"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("fragility.")] == []
+        assert f"input.path: {json.dumps(str(path))}" in lines
+
     def test_every_line_boundary_of_splitlines_is_refused(self):
         boundaries = [chr(i) for i in range(0x110000) if len(f"a{chr(i)}b".splitlines()) > 1]
         assert boundaries == list("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
@@ -980,8 +989,9 @@ class TestRenderText:
             for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
                 if isinstance(sub, (dict, list, tuple, cli.RowTable)):
                     walk(f"{prefix}{key}.", sub)  # a RowTable iterates as its rows
-                else:
-                    lines.append(f"{prefix}{key}: {sub if isinstance(sub, str) else json.dumps(sub)}")
+                else:  # a string unquoted, unless a line boundary would split it
+                    plain = isinstance(sub, str) and len(f"a{sub}b".splitlines()) == 1
+                    lines.append(f"{prefix}{key}: {sub if plain else json.dumps(sub)}")
 
         walk("", report)
         return "\n".join(lines) + "\n"
@@ -1375,6 +1385,17 @@ class TestEndToEnd:
         loaded = set(json.loads(proc.stdout)[1])
         assert {"fragsurv.cli", "fragsurv.survival", "fragsurv.specfun", *present} <= loaded
         assert sorted(set(absent) & loaded) == []
+
+    def test_fi_imports_no_typing(self, tmp_path):
+        # without site, which may import typing itself, the search loads it through no import of its own
+        script = "import sys\nfrom fragsurv.cli import main\nmain(sys.argv[1:])\nprint('typing' in sys.modules)\n"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-S", "-c", script, "fi", self._DEMO, "--t0", "2", "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+        assert json.loads(out.read_text(encoding="utf-8"))["fragility"]["fi"] is not None
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -18,7 +18,6 @@ from fragsurv.fragility import (
     NotFragileApplicableError,
     SensitivityGrid,
     calibrate,
-    crossing_fi,
     crossing_outcome,
     fragility_index,
     fragility_quotient,
@@ -168,21 +167,17 @@ def kernel_trajectory(data, config):
 
 
 def crossing_matches(data, config):
-    """crossing_fi on the statistics against fragility_index on the data."""
-    stats = (data.num_events, data.total_time, data.num_censored)
+    """crossing_outcome on the statistics against fragility_index on the data."""
+    outcome = crossing_outcome(data.num_events, data.total_time, data.num_censored, config)
     try:
         expected = fragility_index(data, config)
     except NotFragileApplicableError as exc:
-        with pytest.raises(NotFragileApplicableError) as excinfo:
-            crossing_fi(*stats, config)
-        assert excinfo.value.initial_prob == exc.initial_prob
+        assert outcome == ("not_applicable", exc.initial_prob, None, None)
         return "not_applicable"
     except ValueError as exc:
-        with pytest.raises(ValueError) as excinfo:
-            crossing_fi(*stats, config)
-        assert str(excinfo.value) == str(exc)
+        assert outcome == ("error", None, None, str(exc))
         return "error"
-    assert crossing_fi(*stats, config) == (expected.initial_prob, expected.fi)
+    assert outcome == ("ok", expected.initial_prob, expected.fi, None)
     return expected.fi
 
 
@@ -277,8 +272,8 @@ class TestCrossingFi:
         assert crossing_matches(data, config_at(data, 20.5 - 2 * math.sqrt(20.5), 0.7)) == "not_applicable"
 
     def test_overflowing_posterior_rate_is_a_value_error(self):
-        with pytest.raises(ValueError, match="Gamma rate"):
-            crossing_fi(1, math.inf, 1, AnalysisConfig(t0=1.0))
+        error = "Gamma rate must be finite and > 0, got inf"
+        assert crossing_outcome(1, math.inf, 1, AnalysisConfig(t0=1.0)) == ("error", None, None, error)
 
     def test_matches_the_definition_on_a_seeded_corpus(self):
         fis = {}
@@ -304,7 +299,7 @@ class TestCrossingFi:
         config = AnalysisConfig(t0=base.t0, p0=(probs[k - 1] + probs[k]) / 2)
         assert crossing_matches(data, config) == k
         shapes = count_kernel_calls(monkeypatch)
-        assert crossing_fi(20, data.total_time, 40, config) == (probs[0], k)
+        assert crossing_outcome(20, data.total_time, 40, config) == ("ok", probs[0], k, None)
         assert shapes == [20.5]
 
     @pytest.mark.parametrize("prior_shape", [2.0**53 - 1, 2.0**53 - 2])

@@ -5,8 +5,17 @@ import sys
 
 import pytest
 
-from fragsurv import fragility
-from fragsurv.sim import _BLOCK, SimSpec, SplitMix64, _uniforms, fi_distribution, simulate_trial, substream_seed
+from fragsurv import fragility, sim
+from fragsurv.sim import (
+    _BLOCK,
+    SimSpec,
+    SplitMix64,
+    _observed,
+    _uniforms,
+    fi_distribution,
+    simulate_trial,
+    substream_seed,
+)
 from fragsurv.survival import LN2, AnalysisConfig, GammaParams, posterior_update
 
 from oracles import fi_histogram_reference
@@ -225,6 +234,21 @@ class TestSimulateTrialEqualsScalarDraws:
         assert fi_distribution(spec, config, 30) == fi_distribution(SimSpec(**{**vars(spec), "seed": 123}), config, 30)
 
 
+class TestObserved:
+    @pytest.mark.parametrize("censoring", [{}, {"censor_time": 6.0}, {"censor_rate": 0.05}])
+    def test_one_whole_replication_per_item(self, censoring):
+        # 50 subjects: whole streams share a block, and 7 leaves a partial last group; above half a block one
+        # stream takes a whole block, or two with two draws a subject, and its pieces are joined
+        for n, reps in ((50, 7), (_BLOCK // 2 + 88, 5), (_BLOCK + 300, 3)):
+            spec = SimSpec(n=n, event_rate=0.1, seed=500 + n, **censoring)
+            items = list(_observed(spec, (substream_seed(spec.seed, i) for i in range(reps))))
+            assert len(items) == reps, n
+            for i, (times, events) in enumerate(items):
+                data = simulate_trial(SimSpec(**{**vars(spec), "seed": substream_seed(spec.seed, i)}))
+                assert [t.hex() for t in times] == [t.hex() for t in data.times], (n, i)
+                assert bytes(events) == data.events, (n, i)
+
+
 class TestFiDistribution:
     def test_single_replication_single_bucket(self):
         spec = SimSpec(n=20, event_rate=0.1, censor_rate=0.05, seed=3)
@@ -341,9 +365,9 @@ class TestFiDistributionEqualsReference:
 
         def recording(events, total_time, censored, config):
             seen.append((events, total_time.hex(), censored))
-            return None, None
+            return "ok", None, None, None
 
-        monkeypatch.setattr(fragility, "crossing_fi", recording)
+        monkeypatch.setattr(sim, "crossing_outcome", recording)
         for n, reps in ((50, 25), (_BLOCK + 300, 3)):
             spec = SimSpec(n=n, event_rate=0.2, seed=77 + n, **censoring)
             seen.clear()

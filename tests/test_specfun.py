@@ -124,11 +124,28 @@ class TestRegLowerIncGamma:
 
     def test_reports_iteration_count_on_convergence_failure(self, monkeypatch):
         # near the series/fraction split at large shape, 50 iterations is not enough
-        monkeypatch.setattr(specfun, "_iteration_budget", lambda a: 50)
+        monkeypatch.setattr(specfun, "_ITERATION_BUDGET", 50)
         with pytest.raises(ConvergenceError) as excinfo:
             reg_lower_inc_gamma(500.0, 500.9)
         assert excinfo.value.iterations == 50
         assert "50" in str(excinfo.value)
+
+    def test_half_the_iteration_budget_is_enough_on_a_seeded_sweep(self, monkeypatch):
+        # below a = 1000 within 12 sqrt(a) of a, where the series and the continued fraction need the most terms,
+        # and from a = 1000 on just outside Temme's band, where they take over again
+        monkeypatch.setattr(specfun, "_ITERATION_BUDGET", 300)
+        rng = random.Random(20261021)
+        for _ in range(3000):
+            a = math.exp(rng.uniform(math.log(0.1), math.log(1000.0)))
+            if a < 1000.0:
+                reg_lower_inc_gamma(a, max(0.0, a + rng.uniform(-12.0, 12.0) * math.sqrt(a)))
+        for a in (999.0, 999.9):
+            for x in (a - 1.0, a - 0.5, a, a + 0.5, a + 1.0, a + 2.0):
+                reg_lower_inc_gamma(a, x)
+        for _ in range(3000):
+            a = min(math.exp(rng.uniform(math.log(1e3), math.log(2.0**53))), 2.0**53 - 2)
+            side = rng.choice((-1.0, 1.0))
+            reg_lower_inc_gamma(a, a * (1.0 + side * (0.3 + rng.uniform(1e-9, 0.01))))
 
     @pytest.mark.parametrize("a", [3500.5, 14000.5, 1e5, 1e6])
     @pytest.mark.parametrize("offset", [-3.0, -1.0, 0.0, 1.0, 3.0])
