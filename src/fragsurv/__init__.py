@@ -15,7 +15,7 @@ _EXPORTS = {
                      "fragility_quotient", "sensitivity_scan"), "fragility"),
     **dict.fromkeys(("KMCurve", "km_estimate", "km_to_plot_points"), "km"),
     **dict.fromkeys(("SimSpec", "SplitMix64", "fi_distribution", "simulate_trial"), "sim"),
-    **dict.fromkeys(("BracketError", "ConvergenceError", "bisect_root", "reg_lower_inc_gamma"), "specfun"),
+    **dict.fromkeys(("BracketError", "ConvergenceError", "reg_lower_inc_gamma"), "specfun"),
     **dict.fromkeys(("AnalysisConfig", "GammaParams", "NotFragileApplicableError", "SurvivalDataset",
                      "log_likelihood", "posterior_prob_median_exceeds", "posterior_update"), "survival"),
 }

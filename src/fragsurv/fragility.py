@@ -19,7 +19,7 @@ import itertools
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .specfun import MAX_SHAPE, BracketError, ConvergenceError, bisect_root, reg_gamma_shape_step, reg_lower_inc_gamma
+from .specfun import MAX_SHAPE, BracketError, ConvergenceError, reg_gamma_shape_step, reg_lower_inc_gamma
 from .survival import (
     LN2,
     AnalysisConfig,
@@ -49,6 +49,7 @@ SENSITIVITY_AXES = ("prior_shape", "prior_rate", "t0", "p0")
 _CALIBRATE_BRACKET_LO = 1e-12
 _CALIBRATE_BRACKET_TOL = 1e-12
 _CALIBRATE_MAX_DOUBLINGS = 200
+_CALIBRATE_MAX_HALVINGS = 256
 
 # The recurrence with a carried step stayed within 3.1e-13 of the kernel over 2314
 # seeded starts x 400 steps (a in [0.3, 7.5e5], x in [a - 10 sqrt(a), 50 a]), and
@@ -222,13 +223,14 @@ def fragility_quotient(fi: int, n: int) -> Fraction:
 def calibrate(shape: float, target_prob: float, t0: float) -> float:
     """Posterior rate at which P(median > t0) equals target_prob, given the shape.
 
-    Inverts b -> P(shape, b ln 2 / t0), which is strictly increasing in b,
-    by growing the bracket [1e-12, B] with B doubling from 1 until the sign
-    flips, then bisecting. The returned rate reproduces target_prob to
-    within 1e-9.
+    Inverts f(b) = P(shape, b ln 2 / t0) - target_prob, strictly increasing
+    in b: grows the bracket [1e-12, B] with B doubling from 1 until f(B) > 0,
+    then bisects it until |f| or its width is at most 1e-12. The returned
+    rate reproduces target_prob to within 1e-9.
 
     Raises:
-        BracketError: if no sign change is found within the growth budget.
+        BracketError: if f changes no sign over the bracket within the growth budget.
+        ConvergenceError: if the bisection exhausts its halving budget.
     """
     if not 0.0 < target_prob < 1.0:
         raise ValueError(f"target_prob must lie in (0, 1), got {target_prob!r}")
@@ -240,7 +242,8 @@ def calibrate(shape: float, target_prob: float, t0: float) -> float:
 
     hi = 1.0
     for _ in range(_CALIBRATE_MAX_DOUBLINGS):
-        if objective(hi) > 0.0:
+        fhi = objective(hi)
+        if fhi > 0.0:
             break
         hi *= 2.0
     else:
@@ -248,7 +251,27 @@ def calibrate(shape: float, target_prob: float, t0: float) -> float:
             f"could not bracket a rate reaching probability {target_prob} "
             f"within {_CALIBRATE_MAX_DOUBLINGS} doublings"
         )
-    return bisect_root(objective, _CALIBRATE_BRACKET_LO, hi, _CALIBRATE_BRACKET_TOL)
+    lo = _CALIBRATE_BRACKET_LO
+    flo = objective(lo)
+    if flo == 0.0:
+        return lo
+    if flo > 0.0:
+        raise BracketError(f"no sign change over [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+    for _ in range(_CALIBRATE_MAX_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            # The bracket is at float resolution.
+            return mid
+        fmid = objective(mid)
+        if abs(fmid) <= _CALIBRATE_BRACKET_TOL or hi - lo <= _CALIBRATE_BRACKET_TOL:
+            return mid
+        if fmid > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    raise ConvergenceError(
+        f"bisection did not reach tol={_CALIBRATE_BRACKET_TOL} on [{lo}, {hi}]", _CALIBRATE_MAX_HALVINGS
+    )
 
 
 def sensitivity_scan(

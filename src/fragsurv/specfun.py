@@ -1,12 +1,12 @@
-"""Scalar special functions and root finding used by the survival machinery.
+"""Scalar special functions used by the survival machinery.
 
 Self-contained double-precision kernel on the standard library's
 `math.lgamma` and `math.erfc`: the regularized lower incomplete gamma
 function P(a, x) (Temme's uniform expansion at large shapes near x = a, as
 DLMF 8.12; elsewhere the series / continued fraction split, as in Numerical
 Recipes ch. 6, with the prefactor formed as in Cephes igam.c), its shape
-step P(a, x) - P(a + 1, x), and bracketed bisection. No external numerical
-dependencies.
+step P(a, x) - P(a + 1, x), the shape domain, and the numerical errors. No
+external numerical dependencies.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "BracketError",
     "reg_lower_inc_gamma",
     "reg_gamma_shape_step",
-    "bisect_root",
 ]
 
 
@@ -46,8 +45,6 @@ _EPSILON = 1e-14
 # expansion takes that band. Outside it they need at most 88 (series) and 11
 # (continued fraction) there. A seeded test passes with 300.
 _ITERATION_BUDGET = 610
-
-_BISECT_MAX_ITERATIONS = 256
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 # The unit roundoff, 2**-53.
@@ -222,48 +219,4 @@ def _upper_gamma_cont_fraction(a: float, x: float) -> float:
             return math.exp(_log_prefactor(a, x)) * h
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge for a={a}, x={x}", _ITERATION_BUDGET
-    )
-
-
-def bisect_root(f, lo: float, hi: float, tol: float) -> float:
-    """Root of f on [lo, hi] by bisection; f must change sign over the bracket.
-
-    Returns r with |f(r)| <= tol or bracket width <= tol, whichever occurs
-    first. Deterministic for identical inputs.
-
-    Raises:
-        ValueError: if lo >= hi or tol <= 0.
-        BracketError: if f(lo) and f(hi) have the same sign.
-        ConvergenceError: if the fixed iteration budget is exhausted.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"bisect_root requires finite lo < hi, got [{lo!r}, {hi!r}]")
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ValueError(f"bisect_root requires tol > 0, got {tol!r}")
-    lo = float(lo)
-    hi = float(hi)
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(
-            f"no sign change over [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
-    for _ in range(_BISECT_MAX_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Bracket is at floating-point resolution.
-            return mid
-        fmid = f(mid)
-        if abs(fmid) <= tol or (hi - lo) <= tol:
-            return mid
-        if (fmid > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    raise ConvergenceError(
-        f"bisection did not reach tol={tol} on [{lo}, {hi}]", _BISECT_MAX_ITERATIONS
     )

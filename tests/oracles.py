@@ -2,11 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: erf comes
 from its own power series, the incomplete gamma at large shapes from mpmath
-at 40 digits, square roots from exact integer arithmetic,
-Kaplan-Meier from a quadratic-time recount in exact rationals, the
-fragility search from a direct scan built on scipy's incomplete gamma, and
-the Monte Carlo histogram from one dataset and one kernel-evaluated search
-per replication.
+at 40 digits, Kaplan-Meier from a quadratic-time recount in exact
+rationals, the fragility search from a direct scan built on scipy's
+incomplete gamma, and the Monte Carlo histogram from one dataset and one
+kernel-evaluated search per replication.
 """
 
 from __future__ import annotations
@@ -115,12 +114,6 @@ def mp_temme_lower(a: float, x: float) -> float:
             total += c / a**k
         return float(mpmath.erfc(-eta * mpmath.sqrt(a / 2)) / 2
                      - mpmath.exp(a * log1pmx) / mpmath.sqrt(2 * mpmath.pi * a) * total)
-
-
-def long_division_sqrt(value: int, digits: int) -> float:
-    """sqrt(value) via exact integer square root of value * 10^(2*digits)."""
-    scaled = value * 10 ** (2 * digits)
-    return math.isqrt(scaled) / 10**digits
 
 
 def km_recount(data: SurvivalDataset) -> list[tuple[float, Fraction, int, int]]:

@@ -25,7 +25,7 @@ from fragsurv.fragility import (
 )
 from fragsurv.km import KMCurve
 from fragsurv.sim import SimSpec
-from fragsurv.specfun import BracketError, reg_gamma_shape_step, reg_lower_inc_gamma
+from fragsurv.specfun import BracketError, ConvergenceError, reg_gamma_shape_step, reg_lower_inc_gamma
 from fragsurv.survival import (
     LN2,
     AnalysisConfig,
@@ -403,15 +403,21 @@ class TestCalibrate:
         assert rate == pytest.approx(0.5, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "shape,target,t0",
-        [(22.5, 0.935, 7.0), (20.5, 0.958, 3.5), (31.5, 0.948, 15.0)],
+        "shape,target,t0,pinned",
+        [
+            (22.5, 0.935, 7.0, "0x1.2fad0a3e28008p+8"),
+            (20.5, 0.958, 3.5, "0x1.2445e875f8010p+7"),
+            (31.5, 0.948, 15.0, "0x1.bd1aac6578002p+9"),
+        ],
     )
-    def test_case_study_rates_match_scipy_inverse(self, shape, target, t0):
+    def test_case_study_rates_match_scipy_inverse(self, shape, target, t0, pinned):
         rate = calibrate(shape, target, t0)
         expected = scipy_gammaincinv(shape, target) * t0 / LN2
         assert rate == pytest.approx(expected, rel=1e-9)
         achieved = posterior_prob_median_exceeds(GammaParams(shape, rate), t0)
         assert abs(achieved - target) <= 1e-9
+        # the bisection's exact result, from which reproduce-paper's reported probabilities follow
+        assert rate.hex() == pinned
 
     def test_deterministic(self):
         assert calibrate(22.5, 0.935, 7.0) == calibrate(22.5, 0.935, 7.0)
@@ -434,6 +440,18 @@ class TestCalibrate:
         # P(1, b ln 2 / 1e300) stays below 0.5 for every b up to 2^200
         with pytest.raises(BracketError, match="within 200 doublings"):
             calibrate(1.0, 0.5, 1e300)
+
+    def test_a_target_already_passed_at_the_bracket_floor_is_a_bracket_error(self):
+        # at shape 1e-10 P(1e-10, 1e-12 ln 2) is already 1 - 2.7e-9: the target lies below the bracket's floor
+        message = "no sign change over [1e-12, 1.0]: f(lo)=0.49999999725796584, f(hi)=0.4999999999621312"
+        with pytest.raises(BracketError, match=f"^{re.escape(message)}$"):
+            calibrate(1e-10, 0.5, 1.0)
+
+    def test_an_exhausted_halving_budget_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(fragility, "_CALIBRATE_MAX_HALVINGS", 3)
+        with pytest.raises(ConvergenceError, match="^bisection did not reach tol=1e-12 on ") as excinfo:
+            calibrate(22.5, 0.935, 7.0)
+        assert excinfo.value.iterations == 3
 
     @given(
         shape=st.floats(min_value=0.5, max_value=80.0),

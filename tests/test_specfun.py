@@ -12,15 +12,9 @@ from scipy.integrate import quad
 from scipy.special import gammainc as scipy_gammainc
 
 from fragsurv import specfun
-from fragsurv.specfun import (
-    BracketError,
-    ConvergenceError,
-    bisect_root,
-    reg_gamma_shape_step,
-    reg_lower_inc_gamma,
-)
+from fragsurv.specfun import ConvergenceError, reg_gamma_shape_step, reg_lower_inc_gamma
 
-from oracles import erf_series, long_division_sqrt, mp_reg_lower_inc_gamma, mp_temme_lower, temme_table_exact
+from oracles import erf_series, mp_reg_lower_inc_gamma, mp_temme_lower, temme_table_exact
 
 # scipy's gammainc is the judge below a = 5e5. From there on it is wrong for |x - a| > 4.5 sqrt(a), outside its
 # own asymptotic band (off by 1.2e-12 at a = 1e6, x = a - 5 sqrt(a)), and mpmath at 40 digits judges instead.
@@ -122,13 +116,23 @@ class TestRegLowerIncGamma:
     def test_infinite_x_is_the_limit_one(self, a):
         assert reg_lower_inc_gamma(a, math.inf) == 1.0
 
-    def test_reports_iteration_count_on_convergence_failure(self, monkeypatch):
-        # near the series/fraction split at large shape, 50 iterations is not enough
-        monkeypatch.setattr(specfun, "_ITERATION_BUDGET", 50)
+    @pytest.mark.parametrize(
+        "budget,a,x,scheme",
+        [
+            # near the series/fraction split at large shape, 50 iterations is not enough
+            (50, 500.0, 500.9, "series"),
+            # far above the shape the continued fraction needs more than 1
+            (1, 5.0, 30.0, "continued fraction"),
+        ],
+    )
+    def test_reports_iteration_count_on_convergence_failure(self, monkeypatch, budget, a, x, scheme):
+        monkeypatch.setattr(specfun, "_ITERATION_BUDGET", budget)
         with pytest.raises(ConvergenceError) as excinfo:
-            reg_lower_inc_gamma(500.0, 500.9)
-        assert excinfo.value.iterations == 50
-        assert "50" in str(excinfo.value)
+            reg_lower_inc_gamma(a, x)
+        assert excinfo.value.iterations == budget
+        assert str(excinfo.value) == (
+            f"incomplete gamma {scheme} did not converge for a={a}, x={x} (after {budget} iterations)"
+        )
 
     def test_half_the_iteration_budget_is_enough_on_a_seeded_sweep(self, monkeypatch):
         # below a = 1000 within 12 sqrt(a) of a, where the series and the continued fraction need the most terms,
@@ -285,45 +289,3 @@ class TestRegGammaShapeStep:
             for k in range(300):
                 p -= reg_gamma_shape_step(a + k, x)
             assert abs(p - reg_lower_inc_gamma(a + 300, x)) <= 1e-12, (a, x)
-
-
-class TestBisectRoot:
-    def test_linear(self):
-        r = bisect_root(lambda x: x - 2.0, 0.0, 5.0, 1e-12)
-        assert abs(r - 2.0) <= 1e-9
-
-    def test_exponential_median_in_standard_form(self):
-        r = bisect_root(lambda x: reg_lower_inc_gamma(1.0, x) - 0.5, 0.0, 10.0, 1e-12)
-        assert abs(r - math.log(2.0)) <= 1e-9
-
-    def test_sqrt_two_against_integer_square_root(self):
-        r = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
-        assert abs(r - long_division_sqrt(2, 30)) <= 1e-9
-
-    def test_deterministic(self):
-        f = lambda x: math.tanh(x) - 0.25
-        assert bisect_root(f, -3.0, 4.0, 1e-13) == bisect_root(f, -3.0, 4.0, 1e-13)
-
-    def test_endpoint_roots_returned_exactly(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
-        assert bisect_root(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == 1.0
-
-    def test_same_sign_bracket_rejected(self):
-        with pytest.raises(BracketError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-
-    @pytest.mark.parametrize("lo,hi,tol", [(1.0, 1.0, 1e-12), (2.0, 1.0, 1e-12), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0)])
-    def test_invalid_arguments(self, lo, hi, tol):
-        with pytest.raises(ValueError):
-            bisect_root(lambda x: x - 0.5, lo, hi, tol)
-
-    @given(
-        root=st.floats(min_value=-50.0, max_value=50.0),
-        pad_lo=st.floats(min_value=0.1, max_value=40.0),
-        pad_hi=st.floats(min_value=0.1, max_value=40.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_finds_root_of_monotone_cubic(self, root, pad_lo, pad_hi):
-        f = lambda x: (x - root) ** 3 + (x - root)
-        r = bisect_root(f, root - pad_lo, root + pad_hi, 1e-10)
-        assert abs(f(r)) <= 1e-10 or abs(r - root) <= 1e-10
