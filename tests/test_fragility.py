@@ -464,6 +464,104 @@ class TestCalibrate:
         achieved = posterior_prob_median_exceeds(GammaParams(shape, rate), t0)
         assert abs(achieved - target) <= 1e-9
 
+    @given(
+        shape=st.floats(min_value=80.0, max_value=1e6),
+        target=st.floats(min_value=0.01, max_value=0.99),
+        t0=st.floats(min_value=0.2, max_value=30.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_roundtrip_at_large_shapes(self, shape, target, t0):
+        # from shape 1000 the kernel is Temme's expansion, and the bracket grows to rates past 1e6
+        rate = calibrate(shape, target, t0)
+        achieved = posterior_prob_median_exceeds(GammaParams(shape, rate), t0)
+        assert abs(achieved - target) <= 1e-9
+
+    @given(
+        shape=st.floats(min_value=0.5, max_value=80.0),
+        targets=st.tuples(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=0.99)),
+        t0=st.floats(min_value=0.2, max_value=30.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rate_does_not_decrease_with_the_target(self, shape, targets, t0):
+        low, high = sorted(targets)
+        assert calibrate(shape, low, t0) <= calibrate(shape, high, t0)
+
+    def test_inverts_shape_two_closed_form(self):
+        # P(2, x) = 1 - e^-x (1 + x), so P(2, 1) is reached at rate 1 when t0 = ln 2
+        rate = calibrate(2.0, 1.0 - 2.0 * math.exp(-1.0), LN2)
+        assert rate == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_root_on_a_doubling_of_the_bracket_end(self):
+        # the exponential's median is ln 2, so the rate is t0 itself: here 4, the bracket end after two doublings
+        assert calibrate(1.0, 0.5, 4.0) == pytest.approx(4.0, abs=1e-9)
+
+    def test_returns_the_bracket_floor_when_it_is_the_root(self):
+        target = reg_lower_inc_gamma(1.0, 1e-12 * LN2 / 1.0)
+        assert calibrate(1.0, target, 1.0) == 1e-12
+
+    def test_stops_at_float_resolution_between_neighbouring_rates(self):
+        # at shape 1e10 the objective moves by more than 1e-12 from one float rate to the next near the root,
+        # so neither tolerance is met and the bisection ends on two adjacent floats that bracket the root
+        shape, target, t0 = 1e10, 0.5, 1.0
+        rate = calibrate(shape, target, t0)
+
+        def objective(b):
+            return reg_lower_inc_gamma(shape, b * LN2 / t0) - target
+
+        assert abs(objective(rate)) > 1e-12
+        assert objective(math.nextafter(rate, -math.inf)) <= 0.0 < objective(math.nextafter(rate, math.inf))
+        assert rate.hex() == _generic_bisection_calibrate(shape, target, t0).hex()
+
+    def test_evaluates_the_grown_bracket_end_once(self, monkeypatch):
+        seen = []
+
+        def counting(a, x):
+            seen.append(x)
+            return reg_lower_inc_gamma(a, x)
+
+        monkeypatch.setattr(fragility, "reg_lower_inc_gamma", counting)
+        rate = calibrate(22.5, 0.935, 7.0)
+        # the bracket grows from 1 to 512, the first power of two past the rate of about 304; the
+        # bisection then starts from the floor and reuses P at 512 instead of evaluating it again
+        assert 256.0 < rate < 512.0
+        assert seen[:10] == [2.0**k * LN2 / 7.0 for k in range(10)]
+        assert seen[10] == 1e-12 * LN2 / 7.0
+        assert 512.0 * LN2 / 7.0 not in seen[10:]
+
+    def test_matches_the_generic_bracketed_bisection_bit_for_bit(self):
+        rng = random.Random(20240229)
+        for _ in range(200):
+            shape, target, t0 = rng.uniform(0.2, 200.0), rng.uniform(0.01, 0.99), rng.uniform(0.2, 30.0)
+            rate = calibrate(shape, target, t0)
+            assert rate.hex() == _generic_bisection_calibrate(shape, target, t0).hex(), (shape, target, t0)
+
+
+def _generic_bisection_calibrate(shape, target, t0):
+    """calibrate by a bracketed bisection that tracks both ends' values and
+    compares signs, as a general root finder on [lo, hi] does."""
+
+    def f(b):
+        return reg_lower_inc_gamma(shape, b * LN2 / t0) - target
+
+    lo, hi = 1e-12, 1.0
+    while f(hi) <= 0.0:
+        hi *= 2.0
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    assert (flo > 0.0) != (fhi > 0.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        fmid = f(mid)
+        if abs(fmid) <= 1e-12 or hi - lo <= 1e-12:
+            return mid
+        if (fmid > 0.0) == (fhi > 0.0):
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+
 
 class TestCaseStudyReconstruction:
     """Summary-calibrated versions of the three bundled case studies.
