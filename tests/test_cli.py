@@ -324,6 +324,20 @@ class TestIngestParsers:
         assert cli._bulk_columns("5\n1,1,1", "months") is None
         assert cli._bulk_columns("time,status\n5\n1,1,1\n", "months") is None
 
+    @pytest.mark.parametrize("text,message", [
+        # an empty status beside a two-character one: as many status characters as lines
+        ("time,status\n5,\n3,11\n", "row 2: column 2: status must be 0 or 1, got ''"),
+        # a row with no comma beside one with two: as many commas as lines
+        ("time,status\n1.5\n1,2.5,1\n", "row 2: expected 2 columns, got 1"),
+    ])
+    def test_the_bulk_path_checks_each_line_shape(self, tmp_path, text, message):
+        assert cli._bulk_columns(text, "months") is None
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("slice_chars", [1, 2, 23, 1000])
     def test_every_slice_size_gives_the_same_dataset(self, monkeypatch, slice_chars):
         rows = self._body(5, 300)

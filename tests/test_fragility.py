@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 from statistics import NormalDist
 
 import pytest
@@ -36,6 +38,8 @@ from fragsurv.survival import (
 )
 
 from oracles import erf_series, exhaustive_fi, random_dataset
+
+KERNEL_BITS = Path(__file__).parent / "data" / "kernel_bits.json"
 
 
 def ds(*pairs):
@@ -212,6 +216,11 @@ def definition_corpus(rng):
         events = rng.randint(0, 5)
         x = rng.uniform(900, 2_500)
         yield "x >> a", 0.5, (events, int(x) + 200), x, rng.uniform(0.3, 0.999999)
+    for x in (1_300, 3_000, 6_000, 12_000, 20_000, 24_500):
+        # likewise, with FIs from 1e3 to 2.5e4: thousands of flips before the step reaches 2**-900
+        events = rng.randint(0, 5)
+        x *= rng.uniform(0.98, 1.0)
+        yield "x >> a, FI 1e3 to 2.5e4", 0.5, (events, int(x) + 200), x, rng.uniform(0.3, 0.999999)
     for _ in range(10):
         events = rng.randint(100_000, 150_000)
         a = 0.5 + events
@@ -280,7 +289,7 @@ class TestCrossingFi:
         for regime, prior_shape, (events, censored), x, p0 in definition_corpus(random.Random(2026)):
             if regime == "saturated":
                 assert reg_lower_inc_gamma(prior_shape + events, x) == 1.0
-            if regime == "x >> a":
+            if regime.startswith("x >> a"):
                 assert reg_gamma_shape_step(prior_shape + events, x) < 2.0**-900
             data = counts_dataset(events, censored)
             fis.setdefault(regime, []).append(crossing_matches(data, config_at(data, x, p0, prior_shape)))
@@ -289,6 +298,7 @@ class TestCrossingFi:
         # at the shape bound, some searches end not attained and some fail
         assert {None, "error"} <= set(fis["shape bound"])
         assert max(fi for found in fis.values() for fi in found if isinstance(fi, int)) >= 1_000
+        assert 1_000 <= min(fis["x >> a, FI 1e3 to 2.5e4"]) < 1_500 and 22_000 < max(fis["x >> a, FI 1e3 to 2.5e4"]) <= 25_000
 
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_a_crossing_outside_the_window_makes_one_kernel_call(self, monkeypatch, k):
@@ -391,6 +401,17 @@ class TestFiTrajectory:
         probs = [p for _, p in result.trajectory]
         assert len(probs) == data.num_censored + 1
         assert all(a > b for a, b in zip(probs, probs[1:]))
+
+    def test_cohort_size_trajectories_replay_bit_for_bit(self):
+        # tools/kernel_golden.py: about 560 and 1000 flips from a saturated baseline at shapes 3.5e3 and 1.4e4
+        for search in json.loads(KERNEL_BITS.read_text())["fragility_index"]:
+            events, censored = search["events"], search["censored"]
+            data = counts_dataset(events, censored)
+            config = AnalysisConfig(t0=float.fromhex(search["t0"]), p0=float.fromhex(search["p0"]))
+            result = fragility_index(data, config)
+            assert [p.hex() for _, p in result.trajectory] == search["trajectory"]
+            assert result.fi == search["fi"] == len(search["trajectory"]) - 1
+            assert crossing_outcome(events, data.total_time, censored, config)[2] == search["fi"]
 
 
 class TestCalibrate:

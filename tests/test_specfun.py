@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import random
 import subprocess
@@ -19,6 +20,7 @@ from oracles import erf_series, mp_reg_lower_inc_gamma, mp_temme_lower, temme_ta
 # scipy's gammainc is the judge below a = 5e5. From there on it is wrong for |x - a| > 4.5 sqrt(a), outside its
 # own asymptotic band (off by 1.2e-12 at a = 1e6, x = a - 5 sqrt(a)), and mpmath at 40 digits judges instead.
 _SCIPY_GOOD_BELOW = 5e5
+KERNEL_BITS = Path(__file__).parent / "data" / "kernel_bits.json"
 
 
 def judge(a, x):
@@ -234,6 +236,49 @@ class TestRegLowerIncGamma:
             [float(c).hex() for c in row] for row in temme_table_exact()
         ]
         assert specfun._TEMME[0][:3] == (-1 / 3, 1 / 12, -2 / 135)
+
+    def test_the_golden_file_is_what_the_tool_writes(self, tmp_path):
+        # tools/kernel_golden.py samples each regime with a fixed seed; its output is the file replayed below
+        tool = Path(__file__).resolve().parent.parent / "tools" / "kernel_golden.py"
+        out = tmp_path / "kernel_bits.json"
+        subprocess.run([sys.executable, "-I", str(tool), "--out", str(out)], check=True)
+        assert out.read_bytes() == KERNEL_BITS.read_bytes()
+
+    @pytest.mark.parametrize("regime", ["series", "continued fraction", "temme", "edges"])
+    def test_every_golden_point_replays_bit_for_bit(self, regime):
+        rows = json.loads(KERNEL_BITS.read_text())["kernel"][regime]
+        assert len(rows) >= 10
+        for a, x, p, step in rows:
+            a, x = float.fromhex(a), float.fromhex(x)
+            assert (reg_lower_inc_gamma(a, x).hex(), reg_gamma_shape_step(a, x).hex()) == (p, step), (a, x)
+
+    def test_every_golden_error_message_replays(self):
+        for a, x, kernel_message, step_message in json.loads(KERNEL_BITS.read_text())["errors"]:
+            a, x = float.fromhex(a), float.fromhex(x)
+            for function, message in ((reg_lower_inc_gamma, kernel_message), (reg_gamma_shape_step, step_message)):
+                with pytest.raises(ValueError) as excinfo:
+                    function(a, x)
+                assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("a,x,expected", [
+        (True, 1, "0x1.43a54e4e98865p-1"), (3, 2, "0x1.4b15566a13b86p-2"), (1500, 1500.0, "0x1.01c20b31c8f78p-1"),
+        (2.5, True, "0x1.34f37283a59abp-3"), (1.0, 0, "0x0.0p+0"),
+    ])
+    def test_integer_and_bool_arguments_are_read_as_floats(self, a, x, expected):
+        assert reg_lower_inc_gamma(a, x).hex() == expected
+
+    @pytest.mark.parametrize("a,x,message", [
+        ("1", 1.0, "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got '1'"),
+        (None, 1.0, "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got None"),
+        (1.0, "1", "reg_lower_inc_gamma requires x >= 0, got '1'"),
+        (-1, "1", "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got -1"),
+        (2**53, 1.0, "reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got 9007199254740992"),
+        (1.0, -1, "reg_lower_inc_gamma requires x >= 0, got -1"),
+    ])
+    def test_non_float_arguments_are_value_errors(self, a, x, message):
+        with pytest.raises(ValueError) as excinfo:
+            reg_lower_inc_gamma(a, x)
+        assert str(excinfo.value) == message
 
     def test_tiny_x_far_below_a_moderate_shape(self):
         # (x - a) / a rounds to -1 here, outside the domain of log1p
