@@ -76,27 +76,35 @@ def ingest_csv(path: str | Path, time_unit: str = "months") -> tuple[SurvivalDat
 
 # Characters of CSV body that _bulk_columns converts at once: their cell strings take about 8 MB.
 _SLICE_CHARS = 1 << 20
+# A comma that is not followed by a status and the end of its line.
+_BAD_COMMA = re.compile(",(?![01]\n)")
 
 
 def _bulk_columns(text: str, time_unit: str) -> SurvivalDataset | None:
     """The dataset of a CSV whose every data line is `<time>,0` or `<time>,1`, cut with string
     operations; None for any other text or any rejected dataset, which _parse_rows then reports."""
-    header, _, body = text.replace("\r\n", "\n").partition("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    start = text.find("\n") + 1
+    # No character outside ASCII lower-cases into `time,status`, so past the header these test the body alone.
     # float() also reads digits of other scripts and `_` between digits; _parse_rows rejects those times
-    if header.lower() != "time,status" or "\r" in body or not body.isascii() or "_" in body:
+    if not start or text[:start - 1].lower() != "time,status" or not text.isascii() or "_" in text:
         return None
-    if not body.endswith("\n"):
-        body += "\n"
-    # One comma per line, and each line ends in ",0" or ",1": every line is one time cell and a status.
-    lines = body.count("\n")
-    if not (body.count(",") == lines == body.count(",0\n") + body.count(",1\n")):
+    if not text.endswith("\n"):
+        text += "\n"
+    # Every comma is followed by a status and a line break, so no line holds two; below, as many
+    # cells as two per line leaves no line without one.
+    if _BAD_COMMA.search(text, start):
         return None
     times, events, status_bytes = [], bytearray(), bytes.maketrans(b"01", b"\x00\x01")
-    start = 0
     try:
-        while start < len(body):  # a slice of whole lines: up to the first line break past _SLICE_CHARS
-            end = body.find("\n", start + _SLICE_CHARS - 1) + 1 or len(body)
-            cells = body[start:end - 1].replace(",", "\n").split("\n")  # time, status, time, status, ...
+        while start < len(text):  # a slice of whole lines: up to the first line break past _SLICE_CHARS
+            end = text.find("\n", start + _SLICE_CHARS - 1) + 1 or len(text)
+            cells = text[start:end - 1].replace(",", "\n").split("\n")  # time, status, time, status, ...
+            if len(cells) != 2 * text.count("\n", start, end):
+                return None
             times += map(float, cells[::2])
             events += "".join(cells[1::2]).encode().translate(status_bytes)
             start = end

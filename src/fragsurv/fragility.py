@@ -16,10 +16,18 @@ after k flips is P(shape + k, rate ln 2 / t0).
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .specfun import MAX_SHAPE, BracketError, ConvergenceError, reg_gamma_shape_step, reg_lower_inc_gamma
+from .specfun import (
+    MAX_SHAPE,
+    BracketError,
+    ConvergenceError,
+    _log_prefactor,
+    reg_gamma_shape_step,
+    reg_lower_inc_gamma,
+)
 from .survival import (
     LN2,
     AnalysisConfig,
@@ -58,6 +66,9 @@ _CALIBRATE_MAX_HALVINGS = 256
 _WINDOW = 1e-9
 # A carried step below this may have lost bits to underflow (x >> a), or be 0 for good.
 _FRESH_STEP_BELOW = 2.0**-900
+# While the step's carried logarithm is below this, one e-fold under 2**-900, the step cannot move a
+# probability above the window's 1e-9: the search skips it.
+_LOG_STEP_SKIPPED_BELOW = -900 * math.log(2.0) - 1.0
 
 
 class FragilityResult(_Value):
@@ -145,12 +156,14 @@ def fragility_index(data: SurvivalDataset, config: AnalysisConfig) -> FragilityR
     x, initial_prob = _initial(data.num_events, data.total_time, config)
     trajectory = [(0, initial_prob)]
     fi: int | None = None
+    kernel, append = reg_lower_inc_gamma, trajectory.append
+    prior_shape, events, p0 = config.prior.shape, data.num_events, config.p0
     for k in range(1, data.num_censored + 1):
         # Summed as posterior_update sums it, so the shape is bit-identical
         # to the posterior of the flipped dataset.
-        prob = reg_lower_inc_gamma(config.prior.shape + (data.num_events + k), x)
-        trajectory.append((k, prob))
-        if prob < config.p0:
+        prob = kernel(prior_shape + (events + k), x)
+        append((k, prob))
+        if prob < p0:
             fi = k
             break
     return FragilityResult(
@@ -176,15 +189,31 @@ def crossing_outcome(
     below 2**-900. The kernel gives P(0), fails the search at the first flip whose
     shape is 2**53 or more, and decides, with the same strict `<`, each k whose
     recurrence value is within _WINDOW of p0: a value further below p0 is the
-    crossing, one further above is not."""
+    crossing, one further above is not.
+
+    From a saturated baseline (x >> a) the first flips only carry the step's logarithm,
+    by log x - log a, while it and the next one stay an e-fold below 2**-900: there each
+    step is formed afresh and leaves P above the window unchanged. The flip after them
+    forms its step afresh, as it would have, so every P compared is the same double."""
     try:
         x, initial_prob = _initial(events, total_time, config)
         prior_shape, p0 = config.prior.shape, config.p0
         above, below = p0 + _WINDOW, p0 - _WINDOW
         prob = initial_prob
-        step = 0.0
         a = prior_shape + events
-        for k in range(1, censored + 1):
+        k = 1
+        if prob == 1.0 > above and x < math.inf:  # a step below 2**-900 leaves P(0) at 1.0 unless x < a
+            log_x = math.log(x)
+            log_step = _log_prefactor(a, x) - math.log(a)
+            while log_step < _LOG_STEP_SKIPPED_BELOW and k <= censored:
+                next_a = prior_shape + (events + k)
+                log_step += log_x - math.log(next_a)
+                if next_a >= MAX_SHAPE or not log_step < _LOG_STEP_SKIPPED_BELOW:
+                    break
+                a = next_a
+                k += 1
+        step = 0.0
+        for k in range(k, censored + 1):
             if step < _FRESH_STEP_BELOW:
                 step = reg_gamma_shape_step(a, x)
             prob -= step

@@ -10,8 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import mul, truediv
+from itertools import accumulate, compress, repeat
+from operator import mul, sub, truediv
 
 from .survival import SurvivalDataset, _Value
 
@@ -53,18 +53,19 @@ def km_estimate(data: SurvivalDataset) -> KMCurve:
     """
     deaths = Counter(compress(data.times, data.events))
     times = sorted(deaths)
-    sorted_times = sorted(data.times)
-    at_risk = [data.n - bisect_left(sorted_times, t) for t in times]
-    events = [deaths[t] for t in times]
+    events = list(map(deaths.__getitem__, times))
+    censored = data.events.translate(bytes.maketrans(b"\x00\x01", b"\x01\x00"))
+    censor_marks = sorted(compress(data.times, censored))
+    # At risk at t: all n subjects but the deaths before t and the censorings before t.
+    deaths_before = accumulate(events, initial=0)
+    censored_before = map(bisect_left, repeat(censor_marks), times)
+    at_risk = list(map(sub, map(sub, repeat(data.n), deaths_before), censored_before))
     factor = Fraction if data.n <= _EXACT_KM_MAX_N else truediv
     # A list, not tuple(accumulate(...)): a tuple grown from an iterator is
     # reallocated as it grows, which raised the cohort-scale benchmark's peak
     # RSS from 41.4 to 44.2 MB (Python 3.11).
-    survival = list(accumulate((factor(r - d, r) for r, d in zip(at_risk, events)), mul))
-
-    censored = data.events.translate(bytes.maketrans(b"\x00\x01", b"\x01\x00"))
-    censor_marks = tuple(sorted(compress(data.times, censored)))
-    return KMCurve(tuple(times), tuple(survival), tuple(at_risk), tuple(events), censor_marks)
+    survival = list(accumulate(map(factor, map(sub, at_risk, events), at_risk), mul))
+    return KMCurve(tuple(times), tuple(survival), tuple(at_risk), tuple(events), tuple(censor_marks))
 
 
 def km_to_plot_points(

@@ -99,24 +99,28 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
         ConvergenceError: if the scheme does not converge within
             _ITERATION_BUDGET iterations.
     """
-    if not (isinstance(a, (int, float)) and MIN_SHAPE <= a < MAX_SHAPE):
-        raise ValueError(f"reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got {a!r}")
-    if not (isinstance(x, (int, float)) and x >= 0):
-        raise ValueError(f"reg_lower_inc_gamma requires x >= 0, got {x!r}")
-    a = float(a)
-    x = float(x)
-    if x == 0.0:
-        return 0.0
+    if not (type(a) is float and type(x) is float and MIN_SHAPE <= a < MAX_SHAPE and x > 0.0):
+        # the one test a search's call takes; ints, float subclasses, x = 0 and invalid arguments go on here
+        if not (isinstance(a, (int, float)) and MIN_SHAPE <= a < MAX_SHAPE):
+            raise ValueError(f"reg_lower_inc_gamma requires 2**-1022 <= a < 2**53, got {a!r}")
+        if not (isinstance(x, (int, float)) and x >= 0):
+            raise ValueError(f"reg_lower_inc_gamma requires x >= 0, got {x!r}")
+        a = float(a)
+        x = float(x)
+        if x == 0.0:
+            return 0.0
     if x == math.inf:
         return 1.0
-    if a >= _TEMME_MIN_SHAPE and abs(x - a) <= _TEMME_BAND * a:
+    if a >= _TEMME_MIN_SHAPE and -_TEMME_BAND * a <= x - a <= _TEMME_BAND * a:
         p = _temme_lower(a, x)
     elif x < a + 1.0:
         p = _lower_gamma_series(a, x)
     else:
         p = 1.0 - _upper_gamma_cont_fraction(a, x)
-    # Guard against sub-ulp overshoot at the boundaries.
-    return min(1.0, max(0.0, p))
+    # Guard against sub-ulp overshoot at the boundaries; -0.0 and NaN give 0.0.
+    if 0.0 < p <= 1.0:
+        return p
+    return 1.0 if p > 1.0 else 0.0
 
 
 def reg_gamma_shape_step(a: float, x: float) -> float:
@@ -153,31 +157,31 @@ def _log_prefactor(a: float, x: float) -> float:
 def _log1pmx(s: float) -> float:
     # log(1 + s) - s by its Taylor series, as Cephes does for |s| < 1/2: the
     # direct form loses about log10(1 / |s|) digits to cancellation. 0 at s = 0.
+    # Every partial sum is <= 0 for |s| < 1, so |total| is -total.
     power = s
     total = 0.0
-    n = 2
+    n = 2.0
     while True:
         power *= -s
         term = power / n
         total += term
-        if abs(term) <= abs(total) * _MACHEP:
+        bound = total * _MACHEP
+        if bound <= term <= -bound:
             return total
-        n += 1
+        n += 1.0
 
 
 def _temme_lower(a: float, x: float) -> float:
     # P = erfc(-eta sqrt(a / 2)) / 2 - e^{-a eta^2 / 2} / sqrt(2 pi a) * sum_k c_k(eta) / a^k,
     # with -eta^2 / 2 = log1pmx(s), s = (x - a) / a, and eta of the sign of s (DLMF 8.12.8).
     log1pmx = _log1pmx((x - a) / a)
-    eta = math.copysign(math.sqrt(-2.0 * log1pmx), x - a)
+    e = math.copysign(math.sqrt(-2.0 * log1pmx), x - a)
     inv_a = 1.0 / a
     total = 0.0
-    for row in reversed(_TEMME):
-        c = 0.0
-        for d in reversed(row):
-            c = c * eta + d
-        total = total * inv_a + c
-    return 0.5 * math.erfc(-eta * math.sqrt(0.5 * a)) - math.exp(a * log1pmx) / math.sqrt(math.tau * a) * total
+    for r in reversed(_TEMME):  # Horner's rule in 1 / a over the c_k, each by Horner's rule in eta, written out
+        total = total * inv_a + (((((((((((r[11] * e + r[10]) * e + r[9]) * e + r[8]) * e + r[7]) * e + r[6]) * e
+                                      + r[5]) * e + r[4]) * e + r[3]) * e + r[2]) * e + r[1]) * e + r[0])
+    return 0.5 * math.erfc(-e * math.sqrt(0.5 * a)) - math.exp(a * log1pmx) / math.sqrt(math.tau * a) * total
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
