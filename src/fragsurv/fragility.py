@@ -192,9 +192,10 @@ def crossing_outcome(
     crossing, one further above is not.
 
     From a saturated baseline (x >> a) the first flips only carry the step's logarithm,
-    by log x - log a, while it and the next one stay an e-fold below 2**-900: there each
-    step is formed afresh and leaves P above the window unchanged. The flip after them
-    forms its step afresh, as it would have, so every P compared is the same double."""
+    by log x - log a, while it and the next one stay an e-fold below 2**-900: the scan
+    would form each of those steps afresh, and none moves P above the window. The flip
+    after them forms its step afresh, as the scan does, so every P compared is the same
+    double."""
     try:
         x, initial_prob = _initial(events, total_time, config)
         prior_shape, p0 = config.prior.shape, config.p0
