@@ -16,18 +16,10 @@ after k flips is P(shape + k, rate ln 2 / t0).
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .specfun import (
-    MAX_SHAPE,
-    BracketError,
-    ConvergenceError,
-    _log_prefactor,
-    reg_gamma_shape_step,
-    reg_lower_inc_gamma,
-)
+from .specfun import MAX_SHAPE, BracketError, ConvergenceError, reg_gamma_shape_step, reg_lower_inc_gamma
 from .survival import (
     LN2,
     AnalysisConfig,
@@ -66,9 +58,6 @@ _CALIBRATE_MAX_HALVINGS = 256
 _WINDOW = 1e-9
 # A carried step below this may have lost bits to underflow (x >> a), or be 0 for good.
 _FRESH_STEP_BELOW = 2.0**-900
-# While the step's carried logarithm is below this, one e-fold under 2**-900, the step cannot move a
-# probability above the window's 1e-9: the search skips it.
-_LOG_STEP_SKIPPED_BELOW = -900 * math.log(2.0) - 1.0
 
 
 class FragilityResult(_Value):
@@ -189,32 +178,15 @@ def crossing_outcome(
     below 2**-900. The kernel gives P(0), fails the search at the first flip whose
     shape is 2**53 or more, and decides, with the same strict `<`, each k whose
     recurrence value is within _WINDOW of p0: a value further below p0 is the
-    crossing, one further above is not.
-
-    From a saturated baseline (x >> a) the first flips only carry the step's logarithm,
-    by log x - log a, while it and the next one stay an e-fold below 2**-900: the scan
-    would form each of those steps afresh, and none moves P above the window. The flip
-    after them forms its step afresh, as the scan does, so every P compared is the same
-    double."""
+    crossing, one further above is not."""
     try:
         x, initial_prob = _initial(events, total_time, config)
         prior_shape, p0 = config.prior.shape, config.p0
         above, below = p0 + _WINDOW, p0 - _WINDOW
         prob = initial_prob
-        a = prior_shape + events
-        k = 1
-        if prob == 1.0 > above and x < math.inf:  # a step below 2**-900 leaves P(0) at 1.0 unless x < a
-            log_x = math.log(x)
-            log_step = _log_prefactor(a, x) - math.log(a)
-            while log_step < _LOG_STEP_SKIPPED_BELOW and k <= censored:
-                next_a = prior_shape + (events + k)
-                log_step += log_x - math.log(next_a)
-                if next_a >= MAX_SHAPE or not log_step < _LOG_STEP_SKIPPED_BELOW:
-                    break
-                a = next_a
-                k += 1
         step = 0.0
-        for k in range(k, censored + 1):
+        a = prior_shape + events
+        for k in range(1, censored + 1):
             if step < _FRESH_STEP_BELOW:
                 step = reg_gamma_shape_step(a, x)
             prob -= step
