@@ -145,21 +145,14 @@ def _observed(spec: SimSpec, states: Iterable[int]):
     else:
         # the piece at subject offset o of a stream starts o·per draws further on
         blocks = (([s + o * per * _GOLDEN], min(step, n - o)) for s in states for o in range(0, n, step))
+    cutoff = math.inf if spec.censor_time is None else spec.censor_time
     times, events = [], bytearray()
     for starts, subjects in blocks:
         logs = list(map(math.log, _uniforms(starts, subjects * per)))
         t = list(map(truediv, logs[::per], repeat(-spec.event_rate)))
-        if spec.censor_rate is not None:
-            c = list(map(truediv, logs[1::2], repeat(-spec.censor_rate)))
-            times += [x if x <= y else y for x, y in zip(t, c)]
-            events += bytes(map(le, t, c))
-        elif spec.censor_time is not None:
-            c = spec.censor_time
-            times += [x if x <= c else c for x in t]
-            events += bytes(map(le, t, repeat(c)))
-        else:
-            times += t
-            events += b"\x01" * len(t)
+        c = repeat(cutoff) if per == 1 else list(map(truediv, logs[1::2], repeat(-spec.censor_rate)))
+        times += [x if x <= y else y for x, y in zip(t, c)]
+        events += bytes(map(le, t, c))
         if len(times) >= n:  # the block ends a stream
             for k in range(0, len(times), n):
                 yield times[k:k + n], events[k:k + n]

@@ -238,6 +238,12 @@ def definition_corpus(rng):
             x = a + rng.uniform(0.5, 3) * math.sqrt(a)
             p0 = reg_lower_inc_gamma(a, x) - rng.uniform(0, censored + 1) * reg_gamma_shape_step(a, x)
             yield "shape bound", prior_shape, (events, censored), x, p0
+    for x in (60_000, 100_000):
+        # registry size: tens of thousands of flips from a step far below 2**-900
+        yield "x >> a, FI 6e4 and 1e5", 0.5, (3, x + 200), x * rng.uniform(0.98, 1.0), rng.uniform(0.3, 0.999999)
+    # 2e5 rows with 35% events: every censored subject flips and P stays above p0
+    a = 0.5 + 200_000
+    yield "not attained at 2e5 rows", 0.5, (70_290, 129_710), a + rng.uniform(1, 3) * math.sqrt(a), rng.uniform(0.3, 0.8)
 
 
 class TestCrossingFi:
@@ -293,12 +299,14 @@ class TestCrossingFi:
                 assert reg_gamma_shape_step(prior_shape + events, x) < 2.0**-900
             data = counts_dataset(events, censored)
             fis.setdefault(regime, []).append(crossing_matches(data, config_at(data, x, p0, prior_shape)))
-        # each regime reaches its crossings, and the FIs run into the thousands
+        # each regime but the last reaches its crossings, and the FIs run into the thousands
+        assert fis.pop("not attained at 2e5 rows") == [None]
         assert all(any(isinstance(fi, int) for fi in found) for found in fis.values())
         # at the shape bound, some searches end not attained and some fail
         assert {None, "error"} <= set(fis["shape bound"])
         assert max(fi for found in fis.values() for fi in found if isinstance(fi, int)) >= 1_000
         assert 1_000 <= min(fis["x >> a, FI 1e3 to 2.5e4"]) < 1_500 and 22_000 < max(fis["x >> a, FI 1e3 to 2.5e4"]) <= 25_000
+        assert 55_000 < min(fis["x >> a, FI 6e4 and 1e5"]) <= 60_000 and 95_000 < max(fis["x >> a, FI 6e4 and 1e5"]) <= 100_000
 
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_a_crossing_outside_the_window_makes_one_kernel_call(self, monkeypatch, k):

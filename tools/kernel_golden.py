@@ -38,7 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from fragsurv.fragility import fragility_index  # noqa: E402
-from fragsurv.specfun import MAX_SHAPE, MIN_SHAPE, reg_gamma_shape_step, reg_lower_inc_gamma  # noqa: E402
+from fragsurv.specfun import (  # noqa: E402
+    MAX_SHAPE, MIN_SHAPE, _TEMME_BAND, _TEMME_MIN_SHAPE, reg_gamma_shape_step, reg_lower_inc_gamma,
+)
 from fragsurv.survival import LN2, AnalysisConfig, GammaParams, SurvivalDataset  # noqa: E402
 
 SEED = 20261020
@@ -49,7 +51,7 @@ SEARCHES = ((3_500, 800, 9.5), (14_000, 1_500, 8.5))
 
 def regime(a: float, x: float) -> str:
     """The branch `reg_lower_inc_gamma` takes at (a, x), by its own rule."""
-    if a >= 1000.0 and abs(x - a) <= 0.3 * a:
+    if a >= _TEMME_MIN_SHAPE and abs(x - a) <= _TEMME_BAND * a:
         return "temme"
     return "series" if x < a + 1.0 else "continued fraction"
 
@@ -68,9 +70,9 @@ def sample(rng: random.Random) -> list[tuple[float, float]]:
     for _ in range(60):  # in the band
         a = 10 ** rng.uniform(3, log_top)
         points.append((a, a + rng.uniform(-10.0, 10.0) * math.sqrt(a)))
-        points.append((a, a * (1.0 + rng.uniform(-0.3, 0.3))))
+        points.append((a, a * (1.0 + rng.uniform(-_TEMME_BAND, _TEMME_BAND))))
     for a in (1000.0, 1000.5, 3500.5, 1e4, 14000.5, 1e6, 1e9, 1e12, 1e15, TOP_SHAPE):
-        for x in (a, a - 0.3 * a, a + 0.3 * a):
+        for x in (a, a - _TEMME_BAND * a, a + _TEMME_BAND * a):
             points += [(a, x), (a, math.nextafter(x, 0.0)), (a, math.nextafter(x, math.inf))]
         points += [(a, a + z * math.sqrt(a)) for z in (-10.0, -1.0, 1e-9, 1.0, 10.0)]
     points += [(MIN_SHAPE, 0.5), (MIN_SHAPE, 2.0), (0.5, 1e-300), (129.0, 1e-14)]
