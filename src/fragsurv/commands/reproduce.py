@@ -18,7 +18,6 @@ def run(args) -> int:
 
 
 class CaseStudy(_Value):
-    _fields = ("key", "label", "n", "events", "t0", "reported_initial_prob", "published_fi")
     key: str
     label: str
     n: int

@@ -70,7 +70,6 @@ class FragilityResult(_Value):
     repeats 1.0 until the probability leaves it.
     """
 
-    _fields = ("fi", "trajectory", "initial_prob", "censored_count", "fq", "config")
     fi: int | None
     trajectory: tuple[tuple[int, float], ...]
     initial_prob: float
@@ -97,7 +96,6 @@ class GridCell(_Value):
 
     Unhashable, as `params` is a dict."""
 
-    _fields = ("params", "status", "initial_prob", "fi", "error")
     params: dict[str, float]
     status: str
     initial_prob: float | None
@@ -112,7 +110,6 @@ class GridCell(_Value):
 class SensitivityGrid(_Value):
     """The axes of a scan, in canonical order, and its cells in product order. Unhashable, as `axes` is a dict."""
 
-    _fields = ("axes", "cells")
     axes: dict[str, tuple[float, ...]]
     cells: tuple[GridCell, ...]
 

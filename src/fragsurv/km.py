@@ -31,7 +31,6 @@ class KMCurve(_Value):
     Fraction up to _EXACT_KM_MAX_N subjects, a float above.
     """
 
-    _fields = ("times", "survival", "at_risk", "events", "censor_marks")
     times: tuple[float, ...]
     survival: tuple[Fraction | float, ...]
     at_risk: tuple[int, ...]

@@ -68,7 +68,6 @@ class SimSpec(_Value):
     positive finite double: above 2.0821099566085722e-307 and below 2^1022.
     """
 
-    _fields = ("n", "event_rate", "censor_time", "censor_rate", "seed")
     n: int
     event_rate: float
     censor_time: float | None

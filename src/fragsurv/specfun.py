@@ -193,7 +193,7 @@ def _lower_gamma_series(a: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPSILON:
+        if term < total * _EPSILON:  # a > 0 and x > 0 here, so every term and partial sum is >= 0
             return total * math.exp(_log_prefactor(a, x))
     raise ConvergenceError(
         f"incomplete gamma series did not converge for a={a}, x={x}", _ITERATION_BUDGET

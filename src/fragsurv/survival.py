@@ -51,13 +51,17 @@ class NotFragileApplicableError(Exception):
 
 
 class _Value:
-    """An immutable value, compared, hashed and shown by the attributes named in `_fields`.
+    """An immutable value, compared, hashed and shown by its fields: its constructor's parameters.
 
     Every value type of the package is one, written out rather than made by the stdlib's data-class
     decorator, so that no command imports that module (and inspect with it).
     """
 
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -88,7 +92,6 @@ class SurvivalDataset(_Value):
     time, the model's sufficient statistics, are computed once.
     """
 
-    _fields = ("times", "events", "time_unit")
     times: tuple[float, ...]
     events: bytes
     time_unit: str
@@ -134,7 +137,6 @@ class SurvivalDataset(_Value):
 class GammaParams(_Value):
     """Shape/rate parameters of a Gamma distribution (prior or posterior on lambda)."""
 
-    _fields = ("shape", "rate")
     shape: float
     rate: float
 
@@ -145,7 +147,6 @@ class GammaParams(_Value):
 class AnalysisConfig(_Value):
     """Analysis settings: median threshold t0, confidence level p0, prior."""
 
-    _fields = ("t0", "p0", "prior")
     t0: float
     p0: float
     prior: GammaParams

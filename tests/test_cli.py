@@ -1092,7 +1092,7 @@ class TestGoldenOutput:
     Recorded in tests/data with `fragsurv fi demo.csv --t0 2 --with-km`,
     `fragsurv fi cohort.csv --t0 8 --with-km`,
     `fragsurv km cohort.csv --points-out km_cohort_points.json > km_cohort.svg`,
-    `fragsurv sensitivity demo.csv --t0 2 --grid 'p0=0.3,0.7,0.99;prior_shape=0.5,-1'`
+    `fragsurv sensitivity demo.csv --t0 2 --grid 'p0=0.3,0.7,0.99;prior_shape=0.5,-1'`,
     `fragsurv reproduce-paper`, and the two `fragsurv simulate --replications`
     runs of `_SIMULATE_HISTOGRAMS`. cohort.csv is
     `fragsurv simulate --n 320 --rate 0.08 --censor-rate 0.04 --seed 3`.

@@ -10,6 +10,7 @@ from fragsurv.survival import (
     AnalysisConfig,
     GammaParams,
     SurvivalDataset,
+    _Value,
     log_likelihood,
     posterior_prob_median_exceeds,
     posterior_update,
@@ -294,6 +295,16 @@ class TestValueTypeContract:
         assert data != ((2.0, 3.5), b"\x01\x00", "months")
         assert repr(data) == "SurvivalDataset(times=(2.0, 3.5), events=b'\\x01\\x00', time_unit='months')"
         assert len({data, same, SurvivalDataset([2, 3.5], [1, 0], time_unit="weeks")}) == 2
+
+    def test_fields_are_the_constructor_parameters(self):
+        class Pair(_Value):
+            def __init__(self, b, a):
+                vars(self).update(b=b, a=a)
+
+        assert Pair._fields == ("b", "a")
+        assert repr(Pair(1, 2)) == "Pair(b=1, a=2)"
+        assert Pair(1, 2) == Pair(1, 2) and Pair(1, 2) != Pair(1, 3)
+        assert hash(Pair(1, 2)) == hash((1, 2))
 
     @pytest.mark.parametrize("index", range(3))
     def test_assignment_and_deletion_raise_attribute_error(self, index):
