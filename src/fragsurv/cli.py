@@ -216,34 +216,6 @@ def _report(**fields) -> dict:
     return {"tool": {"name": _PROG, "version": __version__}, **fields}
 
 
-def build_report(
-    dataset: SurvivalDataset,
-    config: AnalysisConfig,
-    path: str | Path,
-    sha256: str,
-    posterior: GammaParams,
-    initial_prob: float,
-    fragility: dict | None,
-    km: dict | None = None,
-) -> dict:
-    return _report(
-        input={
-            "path": str(path),
-            "sha256": sha256,
-            "n": dataset.n,
-            "events": dataset.num_events,
-            "censored": dataset.num_censored,
-            "total_time": dataset.total_time,
-            "time_unit": dataset.time_unit,
-        },
-        config=_config_json(config),
-        posterior={"shape": posterior.shape, "rate": posterior.rate},
-        initial_probability=initial_prob,
-        fragility=fragility,
-        km=km,
-    )
-
-
 # Rows formatted into one string at a time: a chunk of KM steps is about 0.3 MB.
 _CHUNK_ROWS = 2048
 # The line boundaries of str.splitlines: a text-report string that holds one is written quoted.
@@ -368,12 +340,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, require_t0: bool = True) -> None:
-    parser.add_argument("--prior-shape", type=float, default=0.5, help="Gamma prior shape (default 0.5)")
-    parser.add_argument("--prior-rate", type=float, default=0.5, help="Gamma prior rate (default 0.5)")
+    defaults = AnalysisConfig(1.0)
+    parser.add_argument("--prior-shape", type=float, default=defaults.prior.shape,
+                        help="Gamma prior shape (default %(default)s)")
+    parser.add_argument("--prior-rate", type=float, default=defaults.prior.rate,
+                        help="Gamma prior rate (default %(default)s)")
     parser.add_argument("--t0", type=float, required=require_t0,
                         help="median survival threshold, in the dataset's time unit "
                         + ("(required)" if require_t0 else "(required with --replications)"))
-    parser.add_argument("--p0", type=float, default=0.7, help="confidence level (default 0.7)")
+    parser.add_argument("--p0", type=float, default=defaults.p0, help="confidence level (default %(default)s)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -433,19 +408,11 @@ def _add_simulate_args(parser: argparse.ArgumentParser) -> None:
     _add_output_flags(parser)
 
 
-def _analysis_config(args, dataset: SurvivalDataset | None = None) -> AnalysisConfig:
-    """The config of the flags; given a dataset, its posterior after any flips must stay in the kernel's domain."""
+def _analysis_config(args) -> AnalysisConfig:
     try:
-        config = AnalysisConfig(t0=args.t0, p0=args.p0, prior=GammaParams(args.prior_shape, args.prior_rate))
+        return AnalysisConfig(t0=args.t0, p0=args.p0, prior=GammaParams(args.prior_shape, args.prior_rate))
     except ValueError as exc:
         raise IngestError(str(exc)) from None
-    if dataset is not None and math.isinf(config.prior.rate + dataset.total_time):
-        raise IngestError(f"--prior-rate {config.prior.rate!r} plus the total follow-up time overflows")
-    if dataset is not None and config.prior.shape + dataset.n >= MAX_SHAPE:
-        raise IngestError(f"--prior-shape {config.prior.shape!r} plus {dataset.n} subjects reaches 2**53")
-    if dataset is not None and config.prior.shape + dataset.num_events < MIN_SHAPE:
-        raise IngestError(f"--prior-shape {config.prior.shape!r} with no events is below 2**-1022")
-    return config
 
 
 def _emit(chunks: Iterable[str], out: str | Path | None) -> None:
@@ -466,9 +433,16 @@ def _render(report: dict, fmt: str) -> Iterable[str]:
 def _cmd_report(args) -> int:
     """analyze, and fi, which adds the fragility search."""
     dataset, sha256 = ingest_csv(args.csv, args.time_unit)
-    config = _analysis_config(args, dataset)
+    config = _analysis_config(args)
+    prior = config.prior  # its posterior after any flips must stay in the kernel's domain
+    if math.isinf(prior.rate + dataset.total_time):
+        raise IngestError(f"--prior-rate {prior.rate!r} plus the total follow-up time overflows")
+    if prior.shape + dataset.n >= MAX_SHAPE:
+        raise IngestError(f"--prior-shape {prior.shape!r} plus {dataset.n} subjects reaches 2**53")
+    if prior.shape + dataset.num_events < MIN_SHAPE:
+        raise IngestError(f"--prior-shape {prior.shape!r} with no events is below 2**-1022")
     km = _km_json(dataset) if args.with_km else None
-    posterior = posterior_update(config.prior, dataset)
+    posterior = posterior_update(prior, dataset)
     fragility = not_applicable = None
     if args.command == "analyze":
         initial_prob = posterior_prob_median_exceeds(posterior, config.t0)
@@ -480,7 +454,15 @@ def _cmd_report(args) -> int:
             initial_prob, fragility = result.initial_prob, _fragility_json(result)
         except NotFragileApplicableError as exc:
             initial_prob, fragility, not_applicable = exc.initial_prob, {"applicable": False}, exc
-    report = build_report(dataset, config, args.csv, sha256, posterior, initial_prob, fragility, km)
+    report = _report(
+        input={"path": str(args.csv), "sha256": sha256, "n": dataset.n, "events": dataset.num_events,
+               "censored": dataset.num_censored, "total_time": dataset.total_time, "time_unit": dataset.time_unit},
+        config=_config_json(config),
+        posterior={"shape": posterior.shape, "rate": posterior.rate},
+        initial_probability=initial_prob,
+        fragility=fragility,
+        km=km,
+    )
     _emit(_render(report, args.format), args.out)
     if not_applicable is not None:
         raise not_applicable

@@ -186,6 +186,20 @@ class TestIngestCsv:
         assert captured.out == ""
         assert captured.err == "fragsurv: input-error: --prior-rate 1e+308 plus the total follow-up time overflows\n"
 
+    def test_dataset_checks_run_before_the_km_estimate_and_the_search(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args):
+            raise AssertionError("ran before the dataset checks")
+
+        monkeypatch.setattr(km, "km_estimate", must_not_run)
+        monkeypatch.setattr(fragility, "fragility_index", must_not_run)
+        path = tmp_path / "pr.csv"
+        path.write_text("time,status\n5e307,1\n5e307,0\n", encoding="utf-8")
+        argv = ["fi", str(path), "--t0", "1", "--with-km", "--prior-rate", "1e308"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fragsurv: input-error: --prior-rate 1e+308 plus the total follow-up time overflows\n"
+
     @pytest.mark.parametrize("command", ["fi", "analyze"])
     def test_prior_shape_that_reaches_2_to_the_53_is_input_error(self, demo_csv, capsys, command):
         # five subjects: the shape after every flip reaches 2**53 from a prior shape of 2**53 - 5 on
@@ -920,8 +934,9 @@ class TestRenderJson:
             prob, fragility = result.initial_prob, cli._fragility_json(result)
         except cli.NotFragileApplicableError as exc:
             prob, fragility = exc.initial_prob, {"applicable": False}
-        return cli.build_report(dataset, config, self.PATH, "0" * 64, posterior, prob, fragility,
-                                cli._km_json(dataset))
+        return cli._report(input={"path": self.PATH, "time_unit": dataset.time_unit},
+                           posterior={"shape": posterior.shape, "rate": posterior.rate},
+                           initial_probability=prob, fragility=fragility, km=cli._km_json(dataset))
 
     def test_equals_json_dumps_at_300_and_301_subjects(self, tmp_path):
         reports = []
@@ -1251,6 +1266,17 @@ class TestArgumentParsing:
             cli._parser.cache_clear()  # drop the parser built through `counting`
         assert calls == ["fragsurv fi"]
         assert len({(tmp_path / f"{i}.json").read_bytes() for i in range(3)}) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fi", "d.csv", "--t0", "3"],
+        ["analyze", "d.csv", "--t0", "3"],
+        ["sensitivity", "d.csv", "--t0", "3", "--grid", "p0=0.5"],
+        ["simulate", "--n", "5", "--rate", "0.1", "--t0", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_flags_without_prior_or_p0_give_the_config_defaults(self, argv):
+        config = cli._analysis_config(cli.build_parser(argv[0]).parse_args(argv))
+        assert config == AnalysisConfig(t0=3.0)
+        assert repr(config) == repr(AnalysisConfig(t0=3.0))
 
     def test_build_parser_returns_a_new_parser_each_call(self):
         first, second = cli.build_parser("fi"), cli.build_parser("fi")
