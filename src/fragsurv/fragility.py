@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 
 from .specfun import MAX_SHAPE, BracketError, ConvergenceError, reg_gamma_shape_step, reg_lower_inc_gamma
 from .survival import (
@@ -29,6 +28,10 @@ from .survival import (
     _Value,
     require_positive,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: the Monte Carlo builds no quotient
+    from fractions import Fraction
 
 __all__ = [
     "NotFragileApplicableError",
@@ -216,6 +219,8 @@ def fragility_quotient(fi: int, n: int) -> Fraction:
         raise ValueError(f"fi and n must be integers, got {fi!r}, {n!r}")
     if fi < 1 or n < 1 or fi > n:
         raise ValueError(f"require 1 <= fi <= n, got fi={fi}, n={n}")
+    from fractions import Fraction  # only a reported quotient loads fractions, and decimal with it
+
     return Fraction(fi, n)
 
 

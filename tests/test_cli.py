@@ -640,6 +640,33 @@ class TestKmCommand:
             with pytest.raises(argparse.ArgumentTypeError):
                 cli._time_unit(f"a{char}b")
 
+    def test_every_code_point_is_judged_by_the_xml_char_production(self):
+        # Char ::= #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF]
+        def xml_char(i: int) -> bool:
+            return i in (0x9, 0xA, 0xD) or 0x20 <= i <= 0xD7FF or 0xE000 <= i <= 0xFFFD or 0x10000 <= i <= 0x10FFFF
+
+        expected, refused = {}, {}
+        for i in range(0x110000):
+            char = chr(i)
+            if not xml_char(i):
+                expected[i] = f"character {char!r} is not allowed in XML 1.0 text"
+            elif len(f"a{char}b".splitlines()) > 1:
+                expected[i] = f"character {char!r} would break a line of a text report"
+            try:
+                assert cli._time_unit(f"a{char}b") == f"a{char}b"
+            except argparse.ArgumentTypeError as exc:
+                refused[i] = str(exc)
+        # 29 C0 controls, 2048 surrogates, U+FFFE and U+FFFF; then LF, CR, NEL, LS and PS
+        assert sum(not xml_char(i) for i in expected) == 2079 and len(expected) == 2084
+        assert refused == expected
+
+    @pytest.mark.parametrize("label,bad", [("a\x00b\x01", "\x00"), ("\ud800\x1f", "\ud800"), ("ok\uffff\ufffe", "\uffff"),
+                                           ("a\nb\x08", "\x08"), ("\u2028\udfff", "\udfff"), ("\r\n\x0b", "\x0b")])
+    def test_the_xml_message_names_the_first_excluded_character_before_any_line_break(self, label, bad):
+        with pytest.raises(argparse.ArgumentTypeError) as exc:
+            cli._time_unit(label)
+        assert str(exc.value) == f"character {bad!r} is not allowed in XML 1.0 text"
+
     def test_all_censored_flat_polyline(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("time,status\n1,0\n4,0\n", encoding="utf-8")
@@ -1394,46 +1421,58 @@ class TestEndToEnd:
 
     _DEMO = str(DATA / "demo.csv")
     _NOT_LOADED = ["csv", "dataclasses", "inspect"]
+    _OPENSSL = ["_hashlib", "hashlib"]  # only a command that reads a CSV takes its digest
+    _FRACTIONS = ["fractions", "decimal"]  # only a reported FQ or an exact Kaplan-Meier estimate needs them
+
+    @staticmethod
+    def _run_without_site(*args: str) -> subprocess.CompletedProcess:
+        # python -S with this tree's src on the path: no site hook can import a module before the program does
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True, env=env)
 
     @pytest.mark.parametrize("argv,code,present,absent", [
         (["analyze", _DEMO, "--t0", "2"], EXIT_OK, [],
-         ["fragsurv.fragility", "fragsurv.km", "fragsurv.sim", "fractions", *_NOT_LOADED]),
+         ["fragsurv.fragility", "fragsurv.km", "fragsurv.sim", *_FRACTIONS, *_NOT_LOADED]),
         (["fi", _DEMO, "--t0", "2"], EXIT_OK, ["fragsurv.fragility"], ["fragsurv.km", "fragsurv.sim", *_NOT_LOADED]),
         (["fi", _DEMO, "--t0", "2", "--with-km"], EXIT_OK, ["fragsurv.fragility", "fragsurv.km"],
          ["fragsurv.sim", *_NOT_LOADED]),
         (["sensitivity", _DEMO, "--t0", "2", "--grid", "t0=1,2"], EXIT_OK, ["fragsurv.fragility"],
          ["fragsurv.km", "fragsurv.sim", *_NOT_LOADED]),
         (["km", _DEMO], EXIT_OK, ["fragsurv.km"], ["fragsurv.fragility", "fragsurv.sim", *_NOT_LOADED]),
-        (["simulate", "--n", "20", "--rate", "0.5"], EXIT_OK, ["fragsurv.sim"], ["fragsurv.km", *_NOT_LOADED]),
+        (["simulate", "--n", "20", "--rate", "0.5"], EXIT_OK, ["fragsurv.sim"],
+         ["fragsurv.km", *_OPENSSL, *_FRACTIONS, *_NOT_LOADED]),
         (["simulate", "--n", "20", "--rate", "0.5", "--replications", "5", "--t0", "2"], EXIT_OK,
-         ["fragsurv.sim", "fragsurv.fragility"], ["fragsurv.km", *_NOT_LOADED]),
+         ["fragsurv.sim", "fragsurv.fragility"], ["fragsurv.km", *_OPENSSL, *_FRACTIONS, *_NOT_LOADED]),
         (["reproduce-paper"], EXIT_NUMERICAL_ERROR, ["fragsurv.fragility"],
-         ["fragsurv.km", "fragsurv.sim", *_NOT_LOADED]),
+         ["fragsurv.km", "fragsurv.sim", *_OPENSSL, *_NOT_LOADED]),
+        (["--help"], EXIT_OK, [], ["fragsurv.km", "fragsurv.sim", *_OPENSSL, *_FRACTIONS, *_NOT_LOADED]),
+        (["--version"], EXIT_OK, [], ["fragsurv.km", "fragsurv.sim", *_OPENSSL, *_FRACTIONS, *_NOT_LOADED]),
     ], ids=["analyze", "fi", "fi-with-km", "sensitivity", "km", "simulate-csv", "simulate-replications",
-            "reproduce-paper"])
+            "reproduce-paper", "help", "version"])
     def test_a_command_imports_only_what_it_runs(self, tmp_path, argv, code, present, absent):
         # in a fresh interpreter, which has imported none of these before main runs
         script = ("import json, sys\nfrom fragsurv.cli import main\ncode = main(sys.argv[1:])\n"
                   "print(json.dumps([code, sorted(sys.modules)]))\n")
         out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)], capture_output=True, text=True)
+        command = argv[0] in cli._COMMANDS  # help and the version print to stdout, before the record
+        proc = self._run_without_site("-c", script, *argv, *(["--out", str(out)] if command else []))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)[0] == code and out.read_text(encoding="utf-8")
+        *printed, record = proc.stdout.splitlines()
+        assert json.loads(record)[0] == code
+        assert out.read_text(encoding="utf-8") if command else printed
         if argv[0] in ("analyze", "fi", "sensitivity"):
             sha256 = hashlib.sha256((DATA / "demo.csv").read_bytes()).hexdigest()
             assert json.loads(out.read_text(encoding="utf-8"))["input"]["sha256"] == sha256
-        loaded = set(json.loads(proc.stdout)[1])
+        loaded = set(json.loads(record)[1])
         assert {"fragsurv.cli", "fragsurv.survival", "fragsurv.specfun", *present} <= loaded
         assert sorted(set(absent) & loaded) == []
 
     def test_fi_imports_no_typing(self, tmp_path):
         # without site, which may import typing itself, the search loads it through no import of its own
         script = "import sys\nfrom fragsurv.cli import main\nmain(sys.argv[1:])\nprint('typing' in sys.modules)\n"
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-S", "-c", script, "fi", self._DEMO, "--t0", "2", "--out", str(out)],
-                              capture_output=True, text=True, env=env)
+        proc = self._run_without_site("-c", script, "fi", self._DEMO, "--t0", "2", "--out", str(out))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
         assert json.loads(out.read_text(encoding="utf-8"))["fragility"]["fi"] is not None
 

@@ -3,8 +3,10 @@
 `import fragsurv` imports no submodule: each name loads its module on first use.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +56,16 @@ def test_importing_the_package_loads_no_submodule():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "['fragsurv']\n"
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_fractions():
+    # the import the benchmark times before any command runs; python -S, so no site hook imports them first
+    script = "import sys\nimport fragsurv.cli\nprint(sorted(m for m in sys.modules if m in sys.argv[1:]))\n"
+    src = str(Path(fragsurv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-S", "-c", script, "_hashlib", "hashlib", "fractions", "fragsurv.fragility"],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_not_applicable_is_one_class_wherever_it_is_imported():
